@@ -1731,7 +1731,7 @@ mod tests {
         // each corruption used to hit a Simulation::new assert (panic);
         // all must now surface as a clean RestoreError
         type Corrupt = fn(&mut Checkpoint);
-        let corruptions: [(&str, Corrupt); 5] = [
+        let corruptions: [(&str, Corrupt); 7] = [
             ("K > N", |c| {
                 c.config.clients_per_round = c.config.n_clients + 1
             }),
@@ -1739,6 +1739,8 @@ mod tests {
             ("zero eval_every", |c| c.config.eval_every = 0),
             ("sub-unit device_het", |c| c.config.device_het = 0.5),
             ("zero edges", |c| c.config.edges = 0),
+            ("zero test_per_class", |c| c.config.test_per_class = 0),
+            ("zero batch_size", |c| c.config.batch_size = 0),
         ];
         for (name, corrupt) in corruptions {
             let mut ckpt = good.clone();

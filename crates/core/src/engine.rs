@@ -34,6 +34,7 @@ use fedtrip_data::synth::{DatasetKind, SyntheticVision};
 use fedtrip_models::ModelKind;
 use fedtrip_tensor::optim::LrSchedule;
 use fedtrip_tensor::{Sequential, Tensor};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -210,6 +211,12 @@ impl SimulationConfig {
         }
         if self.eval_every == 0 {
             return Err("eval_every must be positive".into());
+        }
+        if self.batch_size == 0 {
+            return Err("batch_size must be positive".into());
+        }
+        if self.test_per_class == 0 {
+            return Err("test_per_class must be positive".into());
         }
         if self.device_het.is_nan() || self.device_het < 1.0 {
             return Err("device_het must be >= 1".into());
@@ -419,8 +426,9 @@ impl Simulation {
     /// one.
     ///
     /// # Panics
-    /// Panics on inconsistent configuration (zero clients, `K > N`,
-    /// model/dataset shape mismatch, `device_het < 1`).
+    /// Panics on inconsistent configuration (zero clients, `K > N`, zero
+    /// batch size or test set, model/dataset shape mismatch,
+    /// `device_het < 1`).
     pub fn new(cfg: SimulationConfig, mut algorithm: Box<dyn Algorithm>) -> Self {
         assert!(cfg.n_clients > 0, "need at least one client");
         assert!(
@@ -429,6 +437,8 @@ impl Simulation {
         );
         assert!(cfg.rounds > 0, "need at least one round");
         assert!(cfg.eval_every > 0, "eval_every must be positive");
+        assert!(cfg.batch_size > 0, "batch_size must be positive");
+        assert!(cfg.test_per_class > 0, "test_per_class must be positive");
         assert!(cfg.device_het >= 1.0, "device_het must be >= 1");
         assert!(cfg.edges > 0, "need at least one edge aggregator");
         assert!(
@@ -967,10 +977,39 @@ impl Simulation {
         }
     }
 
-    /// Test accuracy of the current global model (chunked forward pass).
+    /// Test accuracy of the current global model (chunked forward pass,
+    /// the test rows split across the rayon workers).
     pub fn evaluate(&self) -> f64 {
-        let mut net = self.global_model();
-        evaluate_in_chunks(&mut net, &self.test_x, &self.test_y, 200)
+        self.evaluate_spans(rayon::current_num_threads())
+    }
+
+    /// [`Simulation::evaluate`] over `spans` contiguous row spans, each on
+    /// its own copy of the global model. A row's logits do not depend on
+    /// which rows share its forward pass (`linalg.rs`'s bit-exactness
+    /// contract), and the spans' correct-counts are integers, so the result
+    /// is the same for every `spans`.
+    fn evaluate_spans(&self, spans: usize) -> f64 {
+        // the workers borrow these fields, not `self` (which is not `Sync`)
+        let (template, global) = (&self.template, &self.global);
+        let (x, y) = (self.test_x.as_slice(), &self.test_y[..]);
+        let sample_shape = &self.test_x.shape()[1..];
+        let n = y.len();
+        let per = n.div_ceil(spans.clamp(1, n));
+        let elems = x.len() / n;
+        let mut correct = vec![0usize; n.div_ceil(per)];
+        correct.par_iter_mut().enumerate().for_each(|(i, slot)| {
+            let (lo, hi) = (i * per, ((i + 1) * per).min(n));
+            let mut net = template.clone();
+            net.set_params_flat(global);
+            *slot = correct_in_chunks(
+                &mut net,
+                &x[lo * elems..hi * elems],
+                sample_shape,
+                &y[lo..hi],
+                200,
+            );
+        });
+        correct.iter().sum::<usize>() as f64 / n as f64
     }
 
     /// First round at which the evaluated accuracy reached `target`
@@ -994,16 +1033,29 @@ impl Simulation {
 }
 
 /// Chunked accuracy evaluation (bounds activation memory on big test sets).
+pub fn evaluate_in_chunks(net: &mut Sequential, x: &Tensor, y: &[usize], chunk: usize) -> f64 {
+    let n = y.len();
+    assert!(n > 0, "empty test set");
+    correct_in_chunks(net, x.as_slice(), &x.shape()[1..], y, chunk) as f64 / n as f64
+}
+
+/// Rows of `x` (row-major, `y.len()` samples of `sample_shape`) that `net`
+/// classifies as `y` says, forwarded `chunk` rows at a time.
 ///
 /// One scratch tensor is reused across all full-size chunks (plus at most
 /// one tail-sized tensor), so evaluation allocates O(chunk) instead of one
 /// fresh tensor per chunk.
-pub fn evaluate_in_chunks(net: &mut Sequential, x: &Tensor, y: &[usize], chunk: usize) -> f64 {
+fn correct_in_chunks(
+    net: &mut Sequential,
+    x: &[f32],
+    sample_shape: &[usize],
+    y: &[usize],
+    chunk: usize,
+) -> usize {
     let n = y.len();
-    assert!(n > 0, "empty test set");
-    let elems = x.len() / x.shape()[0];
-    let mut shape = x.shape().to_vec();
-    shape[0] = chunk.min(n);
+    let elems = x.len() / n;
+    let mut shape = vec![chunk.min(n)];
+    shape.extend_from_slice(sample_shape);
     let mut scratch = Tensor::zeros(&shape);
     let mut correct = 0usize;
     let mut off = 0usize;
@@ -1016,7 +1068,7 @@ pub fn evaluate_in_chunks(net: &mut Sequential, x: &Tensor, y: &[usize], chunk: 
         }
         scratch
             .as_mut_slice()
-            .copy_from_slice(&x.as_slice()[off * elems..end * elems]);
+            .copy_from_slice(&x[off * elems..end * elems]);
         let pred = net.predict(&scratch);
         correct += pred
             .iter()
@@ -1025,7 +1077,7 @@ pub fn evaluate_in_chunks(net: &mut Sequential, x: &Tensor, y: &[usize], chunk: 
             .count();
         off = end;
     }
-    correct as f64 / n as f64
+    correct
 }
 
 /// First round whose evaluated accuracy reached `target`.
@@ -1251,6 +1303,36 @@ mod tests {
             s.run_round();
             assert_eq!(s.records().len(), 1, "{}", kind.name());
             assert!(s.records()[0].accuracy.unwrap() > 0.0);
+        }
+    }
+
+    #[test]
+    fn evaluate_is_independent_of_the_row_split() {
+        // n = 10, 50, 210: none a multiple of every span count below, the
+        // last past one 200-row chunk (skipped on the paper CNN, whose
+        // unoptimized forward pass is the slow part of this test)
+        for (model, sizes) in [
+            (ModelKind::TinyMlp, &[1, 5, 21][..]),
+            (ModelKind::TinyCnn, &[1, 5, 21]),
+            (ModelKind::Cnn, &[1, 5]),
+        ] {
+            for &test_per_class in sizes {
+                let mut cfg = tiny_cfg(31);
+                cfg.model = model;
+                cfg.test_per_class = test_per_class;
+                cfg.eval_every = usize::MAX;
+                cfg.client_samples_override = Some(20);
+                let mut s =
+                    Simulation::new(cfg, AlgorithmKind::FedAvg.build(&HyperParams::default()));
+                s.run_round();
+                let whole = evaluate_in_chunks(&mut s.global_model(), &s.test_x, &s.test_y, 200);
+                let tag = format!("{} n={}", model.name(), s.test_y.len());
+                assert_eq!(s.evaluate(), whole, "{tag}");
+                // the last: more workers than rows
+                for spans in [1, 2, 3, 7, s.test_y.len() + 1] {
+                    assert_eq!(s.evaluate_spans(spans), whole, "{tag} spans={spans}");
+                }
+            }
         }
     }
 

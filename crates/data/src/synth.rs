@@ -9,12 +9,14 @@
 //!
 //! Determinism: pixels and the (possibly flipped) label of a sample are pure
 //! functions of `(dataset seed, class, sample id)` — no global state, no
-//! materialized arrays, safe to synthesize concurrently from rayon workers.
+//! materialized samples (only the read-only pattern tables built with the
+//! dataset), safe to synthesize concurrently from rayon workers.
 
 use fedtrip_tensor::rng::Prng;
 use fedtrip_tensor::rng_tags;
 use fedtrip_tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The four dataset presets of paper Table II.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -187,47 +189,67 @@ struct Blob {
     amp: f32,
 }
 
+impl Blob {
+    /// The unit-amplitude Gaussian at source location `(sx, sy)`.
+    fn at(&self, sx: f32, sy: f32) -> f32 {
+        let ddx = sx - self.cx;
+        let ddy = sy - self.cy;
+        let d2 = ddx * ddx + ddy * ddy;
+        (-d2 / (2.0 * self.sigma * self.sigma)).exp()
+    }
+}
+
+/// Most blobs a prototype channel may carry: sizes the per-sample
+/// coefficient buffer of [`SyntheticVision::write_sample`].
+const MAX_BLOBS: usize = 8;
+
+/// Every Gaussian a sample can read, evaluated once per dataset.
+///
+/// A sample is its class pattern under an *integer* translation of at most
+/// `jitter` pixels, so the source location of any output pixel is one of
+/// the `(H + 2j) x (W + 2j)` integer points of the jitter-extended grid:
+/// source `(sy, sx)` sits at grid `(sy + j, sx + j)`. Planes are row-major
+/// over that grid.
+#[derive(Debug)]
+struct Tables {
+    /// `[channel]` planes: the shared background, its blobs summed in order.
+    shared: Vec<f32>,
+    /// `[class][channel][blob]` planes: one unit-amplitude Gaussian each.
+    class: Vec<f32>,
+    /// `[class][channel][blob]` amplitudes of those Gaussians.
+    amps: Vec<f32>,
+}
+
 /// A procedural class-conditional image dataset.
 ///
-/// Cheap to clone (prototypes are shared via `Arc`-free copy of a small
-/// `Vec`), and all sampling is deterministic in `(seed, class, id)`.
+/// Cheap to clone (the pattern tables sit behind one `Arc`), and all
+/// sampling is deterministic in `(seed, class, id)`.
 #[derive(Debug, Clone)]
 pub struct SyntheticVision {
     spec: DatasetSpec,
     seed: u64,
-    /// `[class][channel]` blob lists — the class-specific pattern.
-    prototypes: Vec<Vec<Vec<Blob>>>,
-    /// `[channel]` blob lists — the shared background pattern every class
-    /// sits on (classes differ only by `class_scale * prototype`).
-    base: Vec<Vec<Blob>>,
+    tables: Arc<Tables>,
 }
 
 impl SyntheticVision {
     /// Build a dataset with the given preset and seed.
     pub fn new(kind: DatasetKind, seed: u64) -> Self {
         let spec = kind.spec();
-        let mut prototypes = Vec::with_capacity(spec.classes);
-        for class in 0..spec.classes {
-            let mut per_channel = Vec::with_capacity(spec.channels);
-            for ch in 0..spec.channels {
-                let mut rng = Prng::derive(seed, &[rng_tags::SYNTH_PROTO, class as u64, ch as u64]);
-                let blobs = (0..spec.blob_count)
-                    .map(|_| Blob {
-                        cx: rng.uniform() * spec.width as f32,
-                        cy: rng.uniform() * spec.height as f32,
-                        sigma: spec.height as f32 * (0.10 + 0.15 * rng.uniform()),
-                        amp: if rng.uniform() < 0.25 { -1.0 } else { 1.0 }
-                            * (0.6 + 0.4 * rng.uniform()),
-                    })
-                    .collect();
-                per_channel.push(blobs);
-            }
-            prototypes.push(per_channel);
-        }
-        let mut base = Vec::with_capacity(spec.channels);
+        assert!(
+            spec.blob_count <= MAX_BLOBS,
+            "blob_count {} exceeds the {MAX_BLOBS}-blob coefficient buffer",
+            spec.blob_count
+        );
+        let j = spec.jitter as usize;
+        let (gh, gw) = (spec.height + 2 * j, spec.width + 2 * j);
+        // grid point -> source location; both are small integers, so the
+        // f32 values are the ones `x as f32 - dx as f32` yields per pixel
+        let source = |g: usize| g as f32 - j as f32;
+
+        let mut shared = Vec::with_capacity(spec.channels * gh * gw);
         for ch in 0..spec.channels {
             let mut rng = Prng::derive(seed, &[rng_tags::SYNTH_BASE, ch as u64]);
-            let blobs = (0..spec.blob_count + 1)
+            let blobs: Vec<Blob> = (0..spec.blob_count + 1)
                 .map(|_| Blob {
                     cx: rng.uniform() * spec.width as f32,
                     cy: rng.uniform() * spec.height as f32,
@@ -235,13 +257,48 @@ impl SyntheticVision {
                     amp: if rng.uniform() < 0.5 { -1.0 } else { 1.0 } * (0.5 + 0.5 * rng.uniform()),
                 })
                 .collect();
-            base.push(blobs);
+            for gy in 0..gh {
+                for gx in 0..gw {
+                    let mut sum = 0.0f32;
+                    for b in &blobs {
+                        sum += b.amp * b.at(source(gx), source(gy));
+                    }
+                    shared.push(sum);
+                }
+            }
+        }
+
+        let planes = spec.classes * spec.channels * spec.blob_count;
+        let mut class = Vec::with_capacity(planes * gh * gw);
+        let mut amps = Vec::with_capacity(planes);
+        for c in 0..spec.classes {
+            for ch in 0..spec.channels {
+                let mut rng = Prng::derive(seed, &[rng_tags::SYNTH_PROTO, c as u64, ch as u64]);
+                for _ in 0..spec.blob_count {
+                    let b = Blob {
+                        cx: rng.uniform() * spec.width as f32,
+                        cy: rng.uniform() * spec.height as f32,
+                        sigma: spec.height as f32 * (0.10 + 0.15 * rng.uniform()),
+                        amp: if rng.uniform() < 0.25 { -1.0 } else { 1.0 }
+                            * (0.6 + 0.4 * rng.uniform()),
+                    };
+                    amps.push(b.amp);
+                    for gy in 0..gh {
+                        for gx in 0..gw {
+                            class.push(b.at(source(gx), source(gy)));
+                        }
+                    }
+                }
+            }
         }
         SyntheticVision {
             spec,
             seed,
-            prototypes,
-            base,
+            tables: Arc::new(Tables {
+                shared,
+                class,
+                amps,
+            }),
         }
     }
 
@@ -280,48 +337,60 @@ impl SyntheticVision {
         }
     }
 
-    /// Synthesize the pixels of one sample into `out` (length
-    /// `sample_elems()`), normalized to roughly `[-1, 1]`.
-    pub fn write_sample(&self, r: SampleRef, out: &mut [f32]) {
-        let spec = &self.spec;
-        debug_assert_eq!(out.len(), spec.sample_elems());
+    /// A sample's RNG stream after its first two draws, and those draws:
+    /// the integer translation `(dx, dy)`, each in `-jitter..=jitter`.
+    fn sample_stream(&self, r: SampleRef) -> (Prng, i32, i32) {
+        let jitter = self.spec.jitter;
         let mut rng = Prng::derive(
             self.seed,
             &[rng_tags::SYNTH_SAMPLE, r.class as u64, r.id as u64],
         );
-        let dx = rng.below(2 * spec.jitter as usize + 1) as i32 - spec.jitter;
-        let dy = rng.below(2 * spec.jitter as usize + 1) as i32 - spec.jitter;
+        let dx = rng.below(2 * jitter as usize + 1) as i32 - jitter;
+        let dy = rng.below(2 * jitter as usize + 1) as i32 - jitter;
+        (rng, dx, dy)
+    }
+
+    /// Synthesize the pixels of one sample into `out` (length
+    /// `sample_elems()`), normalized to roughly `[-1, 1]`.
+    ///
+    /// Pixel `(y, x)` is `scale * (shared + class_scale * Σ_k jit_k * amp_k *
+    /// gauss_k)` at source `(y - dy, x - dx)`, every term a table read, in
+    /// the order and f32 chain of the per-pixel definition
+    /// (`tests/common/synth_reference.rs`), so the output is that
+    /// definition's bit for bit.
+    pub fn write_sample(&self, r: SampleRef, out: &mut [f32]) {
+        let spec = &self.spec;
+        debug_assert_eq!(out.len(), spec.sample_elems());
+        let (mut rng, dx, dy) = self.sample_stream(r);
         let scale = 0.8 + 0.4 * rng.uniform();
 
-        let (h, w) = (spec.height, spec.width);
-        for (ch, blobs) in self.prototypes[r.class as usize].iter().enumerate() {
+        let (h, w, blobs) = (spec.height, spec.width, spec.blob_count);
+        let gw = w + 2 * spec.jitter as usize;
+        let grid = (h + 2 * spec.jitter as usize) * gw;
+        // grid position of the source of output pixel (0, 0)
+        let (oy, ox) = ((spec.jitter - dy) as usize, (spec.jitter - dx) as usize);
+        let tables = &*self.tables;
+        let mut coef = [0.0f32; MAX_BLOBS];
+        for ch in 0..spec.channels {
+            let first = (r.class as usize * spec.channels + ch) * blobs;
             // per-sample multiplicative jitter on each class blob
-            let amp_jit: Vec<f32> = blobs
-                .iter()
-                .map(|_| 1.0 + spec.amp_jitter * rng.normal())
-                .collect();
-            let base_blobs = &self.base[ch];
+            for (c, &amp) in coef.iter_mut().zip(&tables.amps[first..first + blobs]) {
+                *c = (1.0 + spec.amp_jitter * rng.normal()) * amp;
+            }
+            let shared = &tables.shared[ch * grid..(ch + 1) * grid];
+            let class = &tables.class[first * grid..(first + blobs) * grid];
             let plane = &mut out[ch * h * w..(ch + 1) * h * w];
-            for y in 0..h {
-                for x in 0..w {
-                    // evaluate both patterns at the *source* location
-                    let sx = x as f32 - dx as f32;
-                    let sy = y as f32 - dy as f32;
-                    let mut shared = 0.0f32;
-                    for b in base_blobs {
-                        let ddx = sx - b.cx;
-                        let ddy = sy - b.cy;
-                        let d2 = ddx * ddx + ddy * ddy;
-                        shared += b.amp * (-d2 / (2.0 * b.sigma * b.sigma)).exp();
+            for (y, row) in plane.chunks_exact_mut(w).enumerate() {
+                let at = (oy + y) * gw + ox;
+                row.fill(0.0);
+                for (k, &c) in coef[..blobs].iter().enumerate() {
+                    let gauss = &class[k * grid + at..k * grid + at + w];
+                    for (v, &g) in row.iter_mut().zip(gauss) {
+                        *v += c * g;
                     }
-                    let mut class_part = 0.0f32;
-                    for (b, &jit) in blobs.iter().zip(&amp_jit) {
-                        let ddx = sx - b.cx;
-                        let ddy = sy - b.cy;
-                        let d2 = ddx * ddx + ddy * ddy;
-                        class_part += jit * b.amp * (-d2 / (2.0 * b.sigma * b.sigma)).exp();
-                    }
-                    plane[y * w + x] = scale * (shared + spec.class_scale * class_part);
+                }
+                for (v, &s) in row.iter_mut().zip(&shared[at..at + w]) {
+                    *v = scale * (s + spec.class_scale * *v);
                 }
             }
             for v in plane.iter_mut() {
@@ -376,8 +445,57 @@ impl SyntheticVision {
 }
 
 #[cfg(test)]
+#[path = "../tests/common/synth_reference.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::reference_sample;
     use super::*;
+
+    #[test]
+    fn table_path_is_the_per_pixel_definition_bit_for_bit() {
+        for kind in DatasetKind::ALL {
+            let spec = kind.spec();
+            let j = spec.jitter;
+            let (mut got, mut want) = (
+                vec![0.0f32; spec.sample_elems()],
+                vec![0.0f32; spec.sample_elems()],
+            );
+            for seed in [0u64, 2023, u64::MAX - 7] {
+                let d = SyntheticVision::new(kind, seed);
+                for class in 0..spec.classes as u16 {
+                    // ids 0..4, plus the first ids that push dx and dy to
+                    // each border of the extended grid
+                    let mut ids: Vec<u32> = (0..4).collect();
+                    for edge in [(-j, -j), (j, j), (-j, j), (j, -j)] {
+                        let hit = (0..20_000).find(|&id| {
+                            let (_, dx, dy) = d.sample_stream(SampleRef { class, id });
+                            (dx, dy) == edge
+                        });
+                        ids.push(hit.expect("a corner translation within 20k ids"));
+                    }
+                    for id in ids {
+                        let r = SampleRef { class, id };
+                        d.write_sample(r, &mut got);
+                        reference_sample(kind, seed, r, &mut want);
+                        let same = got
+                            .iter()
+                            .zip(&want)
+                            .all(|(a, b)| a.to_bits() == b.to_bits());
+                        assert!(same, "{kind:?} seed {seed} class {class} id {id}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clones_share_the_tables() {
+        let d = SyntheticVision::new(DatasetKind::EmnistLike, 1);
+        let c = d.clone();
+        assert!(Arc::ptr_eq(&d.tables, &c.tables));
+    }
 
     #[test]
     fn table2_geometry_matches_paper() {

@@ -7,6 +7,9 @@ use fedtrip_data::synth::{DatasetKind, SampleRef, SyntheticVision};
 use fedtrip_tensor::rng::Prng;
 use proptest::prelude::*;
 
+#[path = "common/synth_reference.rs"]
+mod reference;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -49,6 +52,25 @@ proptest! {
         prop_assert_eq!(a, b);
         prop_assert_eq!(d1.label_of(r), d2.label_of(r));
         prop_assert!(d1.label_of(r) < d1.spec().classes);
+    }
+
+    /// The table-driven synthesis is the per-pixel definition, bit for bit,
+    /// for any dataset, seed and sample.
+    #[test]
+    fn samples_match_the_per_pixel_reference(
+        kind in prop::sample::select(DatasetKind::ALL.to_vec()),
+        seed in 0u64..=u64::MAX,
+        class in 0u16..47,
+        id in 0u32..=u32::MAX,
+    ) {
+        let d = SyntheticVision::new(kind, seed);
+        let r = SampleRef { class: class % d.spec().classes as u16, id };
+        let mut got = vec![0.0f32; d.spec().sample_elems()];
+        let mut want = got.clone();
+        d.write_sample(r, &mut got);
+        reference::reference_sample(kind, seed, r, &mut want);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 
     /// Orthogonal partitions never share a class across clusters, for any
