@@ -111,9 +111,9 @@ pub struct ClientState {
     pub residual: Option<Vec<f32>>,
     /// Broadcast sync epoch: which full-model resync generation this
     /// client's reconstructed downlink view belongs to. A client whose
-    /// epoch differs from the server's current one (a churn joiner, a
-    /// client restored from a pre-delta checkpoint, or anyone who missed a
-    /// resync) receives an on-demand dense broadcast before any delta.
+    /// epoch differs from the server's current one (a churn joiner or
+    /// anyone who missed a resync) receives an on-demand dense broadcast
+    /// before any delta.
     /// `None` until the client first participates under a delta downlink;
     /// always `None` when the downlink is dense.
     pub sync_epoch: Option<u64>,
@@ -162,11 +162,14 @@ impl ClientStateStore {
     /// Rebuild a store from `(client, state)` entries (checkpoint restore).
     ///
     /// Vacant states are dropped rather than stored (they are semantically
-    /// identical to absence). Fails on out-of-range client ids or duplicate
-    /// entries instead of panicking — a config/checkpoint mismatch must
-    /// surface as a clean error.
+    /// identical to absence). Fails on out-of-range client ids, duplicate
+    /// entries, or a model-sized vector (`historical`, `correction`,
+    /// `residual`) whose length is not `n_params` instead of panicking — a
+    /// config/checkpoint mismatch must surface as a clean error, not as a
+    /// size assert inside the next round's training workers.
     pub fn from_entries(
         n_clients: usize,
+        n_params: usize,
         entries: impl IntoIterator<Item = (usize, ClientState)>,
     ) -> Result<Self, String> {
         let mut store = ClientStateStore::new(n_clients);
@@ -175,6 +178,18 @@ impl ClientStateStore {
                 return Err(format!(
                     "client state entry {client} out of range for a federation of {n_clients}"
                 ));
+            }
+            for (name, v) in [
+                ("historical", &state.historical),
+                ("correction", &state.correction),
+                ("residual", &state.residual),
+            ] {
+                if let Some(v) = v.as_ref().filter(|v| v.len() != n_params) {
+                    return Err(format!(
+                        "client {client} {name} holds {} values but the model has {n_params}",
+                        v.len()
+                    ));
+                }
             }
             if state.is_vacant() {
                 continue;

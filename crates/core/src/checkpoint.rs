@@ -15,52 +15,23 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-/// Current snapshot format version. Bumped to 2 when the runtime split
-/// added the virtual clock and scheduler (in-flight/buffer) state, to 3
-/// when the compression subsystem added the codec/error-feedback config
-/// fields and per-client error-feedback residuals, to 4 when client
-/// states went **sparse** (a v4 snapshot stores `(client, state)` entries
-/// only for clients that have participated), to 5 when the hierarchical
-/// aggregation tier added the `edges` configuration knob and the per-edge
-/// clock vector, to 6 when the availability layer added the
-/// availability/churn/deadline configuration knobs and the server-side
-/// utility table that utility-aware (Oort) selection scores from, and to
-/// 7 when the downlink went compressible: the configuration gained the
-/// `downlink_compression`/`resync_interval` knobs, round records gained
-/// the downlink byte/ratio columns, client states gained the broadcast
-/// sync epoch, scheduler jobs gained the dense-downlink bit, and the
-/// snapshot gained the server's broadcast state (clients' reconstructed
-/// view, the delta reference, the downlink error-feedback residual, and
-/// the sync epoch). v6 snapshots migrate as the dense-downlink federation
-/// they were (downlink codec off, sync epochs absent, empty broadcast
-/// vectors, downlink byte columns derived from the cumulative totals they
-/// already recorded) — dense downlink takes the exact legacy engine path,
-/// so a migrated resume stays bit-identical (pinned by a test). v5
-/// snapshots migrate as the always-on federation they were (availability
-/// knobs zeroed, empty utility table); because the always-on model with a
-/// non-Oort strategy takes the exact legacy selection path — and v5
-/// predates the Oort variant — a migrated resume stays bit-identical
-/// (pinned by a test). No availability *cursor* is stored beyond the
-/// round counter: traces are pure functions of `(seed, client, round)`.
-/// v4 snapshots migrate as the single-edge federation they were
-/// (`edges = 1`, one edge clock colocated with the root), which is
-/// behavior-preserving — the flat fold *is* the one-edge tree — so a
-/// migrated resume stays bit-identical (pinned by a test).
-/// v3 snapshots (dense state vectors) chain through the v4 migration:
-/// dense entries indistinguishable from "never participated" are dropped,
-/// which keeps a migrated *synchronous* resume bit-identical. A semi-async
-/// v3 resume is faithful to *this* engine but not to the pre-v4 binary
-/// that wrote it: the semi-async redispatch selection changed from
-/// pool-materializing `select_among` to the O(K) `select_idle` in the
-/// population-scale rework, so dispatches from the resume point follow the
-/// new stream. Older versions predate fields that cannot be
-/// reconstructed, so [`Checkpoint::load`] rejects them with a clear error
-/// (the version is checked *before* full deserialization, so a foreign
-/// snapshot reports its version instead of a confusing missing-field
-/// error).
+/// The snapshot format version. A v7 snapshot carries the configuration
+/// (including the edge tier, availability/churn/deadline and downlink
+/// codec/resync knobs), the global model, sparse per-client states (with
+/// each client's error-feedback residual and broadcast sync epoch), the
+/// server-side algorithm state, the round records, the root and per-edge
+/// virtual clocks, the scheduler's in-flight/buffered jobs, the Oort
+/// utility table and the server's downlink broadcast state. No RNG or
+/// availability cursor is stored: every random stream and every trace is a
+/// pure function of `(seed, tags, round, client)`.
+///
+/// Every other version, and a file without a `version` field, is rejected
+/// by [`Checkpoint::load`]; the version is checked *before* full
+/// deserialization, so a foreign snapshot reports its version instead of a
+/// confusing missing-field error.
 pub const CHECKPOINT_VERSION: u32 = 7;
 
-/// One sparse client-state entry of a v4+ snapshot.
+/// One sparse client-state entry of a snapshot.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClientEntry {
     /// Client id within the federation.
@@ -69,7 +40,7 @@ pub struct ClientEntry {
     pub state: ClientState,
 }
 
-/// One utility-table entry of a v6+ snapshot: the most recent mean
+/// One utility-table entry of a snapshot: the most recent mean
 /// training loss reported by a client, the statistical-utility half of
 /// the Oort selection score. Stored sparse and in ascending client order
 /// (the table is a `BTreeMap` server-side), so serialization is
@@ -137,823 +108,6 @@ pub struct Checkpoint {
     pub broadcast_epoch: u64,
 }
 
-/// The pre-hierarchical-tier configuration layout (no `edges` field),
-/// kept for v3/v4 snapshot migration. `Serialize` stays derived so tests
-/// can author legacy fixtures.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-#[doc(hidden)]
-#[allow(missing_docs)]
-pub struct SimulationConfigV4 {
-    pub dataset: fedtrip_data::synth::DatasetKind,
-    pub model: fedtrip_models::ModelKind,
-    pub heterogeneity: fedtrip_data::partition::HeterogeneityKind,
-    pub n_clients: usize,
-    pub clients_per_round: usize,
-    pub rounds: usize,
-    pub local_epochs: usize,
-    pub batch_size: usize,
-    pub lr: f32,
-    pub momentum: f32,
-    pub seed: u64,
-    pub test_per_class: usize,
-    pub client_samples_override: Option<usize>,
-    pub eval_every: usize,
-    pub selection: crate::runtime::SelectionStrategy,
-    pub failure_prob: f32,
-    pub lr_schedule: fedtrip_tensor::optim::LrSchedule,
-    pub mode: crate::runtime::RunMode,
-    pub device_het: f32,
-    pub async_buffer: usize,
-    pub staleness_exponent: f32,
-    pub compression: crate::compression::CompressionKind,
-    pub error_feedback: bool,
-}
-
-impl From<SimulationConfigV4> for SimulationConfigV5 {
-    /// A pre-hierarchical configuration is the flat single-edge federation.
-    fn from(v4: SimulationConfigV4) -> SimulationConfigV5 {
-        SimulationConfigV5 {
-            dataset: v4.dataset,
-            model: v4.model,
-            heterogeneity: v4.heterogeneity,
-            n_clients: v4.n_clients,
-            clients_per_round: v4.clients_per_round,
-            rounds: v4.rounds,
-            local_epochs: v4.local_epochs,
-            batch_size: v4.batch_size,
-            lr: v4.lr,
-            momentum: v4.momentum,
-            seed: v4.seed,
-            test_per_class: v4.test_per_class,
-            client_samples_override: v4.client_samples_override,
-            eval_every: v4.eval_every,
-            selection: v4.selection,
-            failure_prob: v4.failure_prob,
-            lr_schedule: v4.lr_schedule,
-            mode: v4.mode,
-            device_het: v4.device_het,
-            async_buffer: v4.async_buffer,
-            staleness_exponent: v4.staleness_exponent,
-            compression: v4.compression,
-            error_feedback: v4.error_feedback,
-            edges: 1,
-        }
-    }
-}
-
-impl From<SimulationConfig> for SimulationConfigV4 {
-    /// Project a current configuration onto the v3/v4 layout (drops the
-    /// `edges` field and the availability/churn/deadline knobs) — used by
-    /// tests that author legacy fixtures.
-    fn from(cfg: SimulationConfig) -> SimulationConfigV4 {
-        SimulationConfigV4 {
-            dataset: cfg.dataset,
-            model: cfg.model,
-            heterogeneity: cfg.heterogeneity,
-            n_clients: cfg.n_clients,
-            clients_per_round: cfg.clients_per_round,
-            rounds: cfg.rounds,
-            local_epochs: cfg.local_epochs,
-            batch_size: cfg.batch_size,
-            lr: cfg.lr,
-            momentum: cfg.momentum,
-            seed: cfg.seed,
-            test_per_class: cfg.test_per_class,
-            client_samples_override: cfg.client_samples_override,
-            eval_every: cfg.eval_every,
-            selection: cfg.selection,
-            failure_prob: cfg.failure_prob,
-            lr_schedule: cfg.lr_schedule,
-            mode: cfg.mode,
-            device_het: cfg.device_het,
-            async_buffer: cfg.async_buffer,
-            staleness_exponent: cfg.staleness_exponent,
-            compression: cfg.compression,
-            error_feedback: cfg.error_feedback,
-        }
-    }
-}
-
-/// The pre-availability-layer configuration layout (has `edges`, lacks
-/// the availability/churn/deadline knobs), kept for v5 snapshot
-/// migration. `Serialize` stays derived so tests can author legacy
-/// fixtures.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-#[doc(hidden)]
-#[allow(missing_docs)]
-pub struct SimulationConfigV5 {
-    pub dataset: fedtrip_data::synth::DatasetKind,
-    pub model: fedtrip_models::ModelKind,
-    pub heterogeneity: fedtrip_data::partition::HeterogeneityKind,
-    pub n_clients: usize,
-    pub clients_per_round: usize,
-    pub rounds: usize,
-    pub local_epochs: usize,
-    pub batch_size: usize,
-    pub lr: f32,
-    pub momentum: f32,
-    pub seed: u64,
-    pub test_per_class: usize,
-    pub client_samples_override: Option<usize>,
-    pub eval_every: usize,
-    pub selection: crate::runtime::SelectionStrategy,
-    pub failure_prob: f32,
-    pub lr_schedule: fedtrip_tensor::optim::LrSchedule,
-    pub mode: crate::runtime::RunMode,
-    pub device_het: f32,
-    pub async_buffer: usize,
-    pub staleness_exponent: f32,
-    pub compression: crate::compression::CompressionKind,
-    pub error_feedback: bool,
-    pub edges: usize,
-}
-
-impl From<SimulationConfigV5> for SimulationConfigV6 {
-    /// A legacy configuration describes an always-on federation: no
-    /// diurnal cycle (`availability_period = 0`), no churn, no deadline.
-    fn from(v5: SimulationConfigV5) -> SimulationConfigV6 {
-        SimulationConfigV6 {
-            dataset: v5.dataset,
-            model: v5.model,
-            heterogeneity: v5.heterogeneity,
-            n_clients: v5.n_clients,
-            clients_per_round: v5.clients_per_round,
-            rounds: v5.rounds,
-            local_epochs: v5.local_epochs,
-            batch_size: v5.batch_size,
-            lr: v5.lr,
-            momentum: v5.momentum,
-            seed: v5.seed,
-            test_per_class: v5.test_per_class,
-            client_samples_override: v5.client_samples_override,
-            eval_every: v5.eval_every,
-            selection: v5.selection,
-            failure_prob: v5.failure_prob,
-            lr_schedule: v5.lr_schedule,
-            mode: v5.mode,
-            device_het: v5.device_het,
-            async_buffer: v5.async_buffer,
-            staleness_exponent: v5.staleness_exponent,
-            compression: v5.compression,
-            error_feedback: v5.error_feedback,
-            edges: v5.edges,
-            availability_period: 0,
-            availability_on_fraction: 0.5,
-            churn_join_window: 0,
-            churn_residency: 0,
-            deadline_secs: 0.0,
-        }
-    }
-}
-
-impl From<SimulationConfig> for SimulationConfigV5 {
-    /// Project a current configuration onto the v5 layout (drops the
-    /// availability/churn/deadline knobs) — used by tests that author
-    /// legacy fixtures.
-    fn from(cfg: SimulationConfig) -> SimulationConfigV5 {
-        SimulationConfigV5 {
-            dataset: cfg.dataset,
-            model: cfg.model,
-            heterogeneity: cfg.heterogeneity,
-            n_clients: cfg.n_clients,
-            clients_per_round: cfg.clients_per_round,
-            rounds: cfg.rounds,
-            local_epochs: cfg.local_epochs,
-            batch_size: cfg.batch_size,
-            lr: cfg.lr,
-            momentum: cfg.momentum,
-            seed: cfg.seed,
-            test_per_class: cfg.test_per_class,
-            client_samples_override: cfg.client_samples_override,
-            eval_every: cfg.eval_every,
-            selection: cfg.selection,
-            failure_prob: cfg.failure_prob,
-            lr_schedule: cfg.lr_schedule,
-            mode: cfg.mode,
-            device_het: cfg.device_het,
-            async_buffer: cfg.async_buffer,
-            staleness_exponent: cfg.staleness_exponent,
-            compression: cfg.compression,
-            error_feedback: cfg.error_feedback,
-            edges: cfg.edges,
-        }
-    }
-}
-
-/// The pre-downlink-compression configuration layout (has the
-/// availability knobs, lacks `downlink_compression`/`resync_interval`),
-/// kept for v6 snapshot migration. `Serialize` stays derived so tests can
-/// author legacy fixtures.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-#[doc(hidden)]
-#[allow(missing_docs)]
-pub struct SimulationConfigV6 {
-    pub dataset: fedtrip_data::synth::DatasetKind,
-    pub model: fedtrip_models::ModelKind,
-    pub heterogeneity: fedtrip_data::partition::HeterogeneityKind,
-    pub n_clients: usize,
-    pub clients_per_round: usize,
-    pub rounds: usize,
-    pub local_epochs: usize,
-    pub batch_size: usize,
-    pub lr: f32,
-    pub momentum: f32,
-    pub seed: u64,
-    pub test_per_class: usize,
-    pub client_samples_override: Option<usize>,
-    pub eval_every: usize,
-    pub selection: crate::runtime::SelectionStrategy,
-    pub failure_prob: f32,
-    pub lr_schedule: fedtrip_tensor::optim::LrSchedule,
-    pub mode: crate::runtime::RunMode,
-    pub device_het: f32,
-    pub async_buffer: usize,
-    pub staleness_exponent: f32,
-    pub compression: crate::compression::CompressionKind,
-    pub error_feedback: bool,
-    pub edges: usize,
-    pub availability_period: usize,
-    pub availability_on_fraction: f32,
-    pub churn_join_window: usize,
-    pub churn_residency: usize,
-    pub deadline_secs: f32,
-}
-
-impl From<SimulationConfigV6> for SimulationConfig {
-    /// A legacy configuration broadcast the dense full model every round:
-    /// downlink codec off, no resync cadence.
-    fn from(v6: SimulationConfigV6) -> SimulationConfig {
-        SimulationConfig {
-            dataset: v6.dataset,
-            model: v6.model,
-            heterogeneity: v6.heterogeneity,
-            n_clients: v6.n_clients,
-            clients_per_round: v6.clients_per_round,
-            rounds: v6.rounds,
-            local_epochs: v6.local_epochs,
-            batch_size: v6.batch_size,
-            lr: v6.lr,
-            momentum: v6.momentum,
-            seed: v6.seed,
-            test_per_class: v6.test_per_class,
-            client_samples_override: v6.client_samples_override,
-            eval_every: v6.eval_every,
-            selection: v6.selection,
-            failure_prob: v6.failure_prob,
-            lr_schedule: v6.lr_schedule,
-            mode: v6.mode,
-            device_het: v6.device_het,
-            async_buffer: v6.async_buffer,
-            staleness_exponent: v6.staleness_exponent,
-            compression: v6.compression,
-            error_feedback: v6.error_feedback,
-            edges: v6.edges,
-            availability_period: v6.availability_period,
-            availability_on_fraction: v6.availability_on_fraction,
-            churn_join_window: v6.churn_join_window,
-            churn_residency: v6.churn_residency,
-            deadline_secs: v6.deadline_secs,
-            downlink_compression: crate::compression::CompressionKind::None,
-            resync_interval: 0,
-        }
-    }
-}
-
-impl From<SimulationConfig> for SimulationConfigV6 {
-    /// Project a current configuration onto the v6 layout (drops the
-    /// downlink codec and resync knobs) — used by tests that author legacy
-    /// fixtures.
-    fn from(cfg: SimulationConfig) -> SimulationConfigV6 {
-        SimulationConfigV6 {
-            dataset: cfg.dataset,
-            model: cfg.model,
-            heterogeneity: cfg.heterogeneity,
-            n_clients: cfg.n_clients,
-            clients_per_round: cfg.clients_per_round,
-            rounds: cfg.rounds,
-            local_epochs: cfg.local_epochs,
-            batch_size: cfg.batch_size,
-            lr: cfg.lr,
-            momentum: cfg.momentum,
-            seed: cfg.seed,
-            test_per_class: cfg.test_per_class,
-            client_samples_override: cfg.client_samples_override,
-            eval_every: cfg.eval_every,
-            selection: cfg.selection,
-            failure_prob: cfg.failure_prob,
-            lr_schedule: cfg.lr_schedule,
-            mode: cfg.mode,
-            device_het: cfg.device_het,
-            async_buffer: cfg.async_buffer,
-            staleness_exponent: cfg.staleness_exponent,
-            compression: cfg.compression,
-            error_feedback: cfg.error_feedback,
-            edges: cfg.edges,
-            availability_period: cfg.availability_period,
-            availability_on_fraction: cfg.availability_on_fraction,
-            churn_join_window: cfg.churn_join_window,
-            churn_residency: cfg.churn_residency,
-            deadline_secs: cfg.deadline_secs,
-        }
-    }
-}
-
-/// The pre-v7 per-client state layout (no broadcast sync epoch), kept for
-/// v3–v6 snapshot migration. `Serialize` stays derived so tests can author
-/// legacy fixtures.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[doc(hidden)]
-#[allow(missing_docs)]
-pub struct ClientStateV6 {
-    pub last_round: Option<usize>,
-    pub historical: Option<Vec<f32>>,
-    pub correction: Option<Vec<f32>>,
-    pub residual: Option<Vec<f32>>,
-}
-
-impl ClientStateV6 {
-    /// The v3-era vacancy rule (no sync epoch to check).
-    fn is_vacant(&self) -> bool {
-        self.last_round.is_none()
-            && self.historical.is_none()
-            && self.correction.is_none()
-            && self.residual.is_none()
-    }
-}
-
-impl From<ClientStateV6> for ClientState {
-    /// Legacy clients never saw a delta downlink: no sync epoch.
-    fn from(s: ClientStateV6) -> ClientState {
-        ClientState {
-            last_round: s.last_round,
-            historical: s.historical,
-            correction: s.correction,
-            residual: s.residual,
-            sync_epoch: None,
-        }
-    }
-}
-
-impl From<ClientState> for ClientStateV6 {
-    /// Project a current state onto the v6 layout (drops the sync epoch)
-    /// — used by tests that author legacy fixtures.
-    fn from(s: ClientState) -> ClientStateV6 {
-        ClientStateV6 {
-            last_round: s.last_round,
-            historical: s.historical,
-            correction: s.correction,
-            residual: s.residual,
-        }
-    }
-}
-
-/// One sparse client-state entry of a v4–v6 snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[doc(hidden)]
-#[allow(missing_docs)]
-pub struct ClientEntryV6 {
-    pub client: usize,
-    pub state: ClientStateV6,
-}
-
-impl From<ClientEntryV6> for ClientEntry {
-    fn from(e: ClientEntryV6) -> ClientEntry {
-        ClientEntry {
-            client: e.client,
-            state: e.state.into(),
-        }
-    }
-}
-
-impl From<ClientEntry> for ClientEntryV6 {
-    fn from(e: ClientEntry) -> ClientEntryV6 {
-        ClientEntryV6 {
-            client: e.client,
-            state: e.state.into(),
-        }
-    }
-}
-
-/// The pre-v7 round-record layout (no downlink byte/ratio columns), kept
-/// for v3–v6 snapshot migration. `Serialize` stays derived so tests can
-/// author legacy fixtures.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[doc(hidden)]
-#[allow(missing_docs)]
-pub struct RoundRecordV6 {
-    pub round: usize,
-    pub accuracy: Option<f64>,
-    pub mean_loss: f64,
-    pub cum_comm_bytes: f64,
-    pub cum_flops: f64,
-    pub selected: Vec<usize>,
-    pub virtual_time: f64,
-    pub mean_staleness: f64,
-    pub comm_bytes_up: f64,
-    pub compression_ratio: f64,
-}
-
-impl From<RoundRecord> for RoundRecordV6 {
-    /// Project a current record onto the v6 layout (drops the downlink
-    /// columns) — used by tests that author legacy fixtures.
-    fn from(r: RoundRecord) -> RoundRecordV6 {
-        RoundRecordV6 {
-            round: r.round,
-            accuracy: r.accuracy,
-            mean_loss: r.mean_loss,
-            cum_comm_bytes: r.cum_comm_bytes,
-            cum_flops: r.cum_flops,
-            selected: r.selected,
-            virtual_time: r.virtual_time,
-            mean_staleness: r.mean_staleness,
-            comm_bytes_up: r.comm_bytes_up,
-            compression_ratio: r.compression_ratio,
-        }
-    }
-}
-
-/// Migrate legacy records: a pre-v7 round's downlink bytes are exactly
-/// what its cumulative totals already accounted for —
-/// `cum_comm_bytes(t) − cum_comm_bytes(t−1) − comm_bytes_up(t)` (legacy
-/// downlinks were always dense, so the per-round split is recoverable) —
-/// and the downlink ratio is 1.0 by definition.
-fn migrate_records(records: Vec<RoundRecordV6>) -> Vec<RoundRecord> {
-    let mut prev_cum = 0.0f64;
-    records
-        .into_iter()
-        .map(|r| {
-            let comm_bytes_down = (r.cum_comm_bytes - prev_cum - r.comm_bytes_up).max(0.0);
-            prev_cum = r.cum_comm_bytes;
-            RoundRecord {
-                round: r.round,
-                accuracy: r.accuracy,
-                mean_loss: r.mean_loss,
-                cum_comm_bytes: r.cum_comm_bytes,
-                cum_flops: r.cum_flops,
-                selected: r.selected,
-                virtual_time: r.virtual_time,
-                mean_staleness: r.mean_staleness,
-                comm_bytes_up: r.comm_bytes_up,
-                compression_ratio: r.compression_ratio,
-                comm_bytes_down,
-                compression_ratio_down: 1.0,
-            }
-        })
-        .collect()
-}
-
-/// The pre-v7 scheduler job layout: its embedded outcome lacks the
-/// dense-downlink bit. Kept for v3–v6 snapshot migration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[doc(hidden)]
-#[allow(missing_docs)]
-pub struct LocalOutcomeV6 {
-    pub params: Vec<f32>,
-    pub n_samples: usize,
-    pub mean_loss: f64,
-    pub iterations: usize,
-    pub train_flops: f64,
-    pub aux: Option<Vec<f32>>,
-    pub staleness: usize,
-    pub agg_weight: f64,
-}
-
-impl From<LocalOutcomeV6> for crate::algorithms::LocalOutcome {
-    /// Legacy outcomes were dispatched under a dense downlink.
-    fn from(o: LocalOutcomeV6) -> crate::algorithms::LocalOutcome {
-        crate::algorithms::LocalOutcome {
-            params: o.params,
-            n_samples: o.n_samples,
-            mean_loss: o.mean_loss,
-            iterations: o.iterations,
-            train_flops: o.train_flops,
-            aux: o.aux,
-            staleness: o.staleness,
-            agg_weight: o.agg_weight,
-            dense_down: true,
-        }
-    }
-}
-
-impl From<crate::algorithms::LocalOutcome> for LocalOutcomeV6 {
-    /// Project a current outcome onto the v6 layout — used by tests that
-    /// author legacy fixtures.
-    fn from(o: crate::algorithms::LocalOutcome) -> LocalOutcomeV6 {
-        LocalOutcomeV6 {
-            params: o.params,
-            n_samples: o.n_samples,
-            mean_loss: o.mean_loss,
-            iterations: o.iterations,
-            train_flops: o.train_flops,
-            aux: o.aux,
-            staleness: o.staleness,
-            agg_weight: o.agg_weight,
-        }
-    }
-}
-
-/// One dispatched client of a pre-v7 snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[doc(hidden)]
-#[allow(missing_docs)]
-pub struct JobV6 {
-    pub client: usize,
-    pub dispatch_version: usize,
-    pub finish: f64,
-    pub outcome: LocalOutcomeV6,
-}
-
-impl From<JobV6> for crate::runtime::scheduler::Job {
-    fn from(j: JobV6) -> crate::runtime::scheduler::Job {
-        crate::runtime::scheduler::Job {
-            client: j.client,
-            dispatch_version: j.dispatch_version,
-            finish: j.finish,
-            outcome: j.outcome.into(),
-        }
-    }
-}
-
-impl From<crate::runtime::scheduler::Job> for JobV6 {
-    fn from(j: crate::runtime::scheduler::Job) -> JobV6 {
-        JobV6 {
-            client: j.client,
-            dispatch_version: j.dispatch_version,
-            finish: j.finish,
-            outcome: j.outcome.into(),
-        }
-    }
-}
-
-/// The pre-v7 scheduler-state layout. Kept for v3–v6 snapshot migration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[doc(hidden)]
-#[allow(missing_docs)]
-pub struct SchedulerStateV6 {
-    pub version: usize,
-    pub in_flight: Vec<JobV6>,
-    pub buffer: Vec<JobV6>,
-}
-
-impl From<SchedulerStateV6> for SchedulerState {
-    fn from(s: SchedulerStateV6) -> SchedulerState {
-        SchedulerState {
-            version: s.version,
-            in_flight: s.in_flight.into_iter().map(Into::into).collect(),
-            buffer: s.buffer.into_iter().map(Into::into).collect(),
-        }
-    }
-}
-
-impl From<SchedulerState> for SchedulerStateV6 {
-    fn from(s: SchedulerState) -> SchedulerStateV6 {
-        SchedulerStateV6 {
-            version: s.version,
-            in_flight: s.in_flight.into_iter().map(Into::into).collect(),
-            buffer: s.buffer.into_iter().map(Into::into).collect(),
-        }
-    }
-}
-
-/// The v4 snapshot layout (sparse client states, but no edge tier), kept
-/// for migration. `Serialize` stays derived so tests can author v4
-/// fixtures.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[doc(hidden)]
-pub struct CheckpointV4 {
-    /// Snapshot format version (always 4).
-    pub version: u32,
-    /// Engine configuration (legacy layout, no `edges`).
-    pub config: SimulationConfigV4,
-    /// Which method was running.
-    pub algorithm: AlgorithmKind,
-    /// Its hyper-parameters.
-    pub hyper: HyperParams,
-    /// Rounds completed.
-    pub round: usize,
-    /// Global model parameters.
-    pub global: Vec<f32>,
-    /// Sparse per-client state (legacy layout, no sync epoch).
-    pub states: Vec<ClientEntryV6>,
-    /// Server-side algorithm state.
-    pub server_state: Vec<Vec<f32>>,
-    /// Round records so far (legacy layout, no downlink columns).
-    pub records: Vec<RoundRecordV6>,
-    /// Virtual-clock instant at capture.
-    pub clock: f64,
-    /// Scheduler position (legacy layout).
-    pub scheduler: SchedulerStateV6,
-}
-
-impl CheckpointV4 {
-    /// Migrate a v4 snapshot to the v5 layout: the federation it describes
-    /// had no edge tier, which in v5 terms is `edges = 1` with the single
-    /// edge clock colocated with the root. The one-edge tree performs the
-    /// exact fold the flat engine did, so a migrated resume is
-    /// bit-identical (pinned by a test). Chain a further `.migrate()` to
-    /// reach the current layout.
-    pub fn migrate(self) -> CheckpointV5 {
-        CheckpointV5 {
-            version: 5,
-            config: self.config.into(),
-            algorithm: self.algorithm,
-            hyper: self.hyper,
-            round: self.round,
-            global: self.global,
-            states: self.states,
-            server_state: self.server_state,
-            records: self.records,
-            clock: self.clock,
-            edge_clocks: vec![self.clock],
-            scheduler: self.scheduler,
-        }
-    }
-}
-
-/// The v5 snapshot layout (edge tier, but no availability layer), kept
-/// for migration. `Serialize` stays derived so tests can author v5
-/// fixtures.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[doc(hidden)]
-pub struct CheckpointV5 {
-    /// Snapshot format version (always 5).
-    pub version: u32,
-    /// Engine configuration (legacy layout, no availability knobs).
-    pub config: SimulationConfigV5,
-    /// Which method was running.
-    pub algorithm: AlgorithmKind,
-    /// Its hyper-parameters.
-    pub hyper: HyperParams,
-    /// Rounds completed.
-    pub round: usize,
-    /// Global model parameters.
-    pub global: Vec<f32>,
-    /// Sparse per-client state (legacy layout, no sync epoch).
-    pub states: Vec<ClientEntryV6>,
-    /// Server-side algorithm state.
-    pub server_state: Vec<Vec<f32>>,
-    /// Round records so far (legacy layout, no downlink columns).
-    pub records: Vec<RoundRecordV6>,
-    /// Root virtual-clock instant at capture.
-    pub clock: f64,
-    /// Per-edge virtual-clock instants at capture.
-    pub edge_clocks: Vec<f64>,
-    /// Scheduler position (legacy layout).
-    pub scheduler: SchedulerStateV6,
-}
-
-impl CheckpointV5 {
-    /// Migrate a v5 snapshot to the v6 layout: the federation it describes
-    /// was always-on with no utility history, so the availability knobs
-    /// zero out and the utility table starts empty. Always-on with a
-    /// legacy (non-Oort) strategy takes the exact pre-availability
-    /// selection path, so a migrated resume is bit-identical (pinned by a
-    /// test). Chain a further `.migrate()` to reach the current layout.
-    pub fn migrate(self) -> CheckpointV6 {
-        CheckpointV6 {
-            version: 6,
-            config: self.config.into(),
-            algorithm: self.algorithm,
-            hyper: self.hyper,
-            round: self.round,
-            global: self.global,
-            states: self.states,
-            server_state: self.server_state,
-            records: self.records,
-            clock: self.clock,
-            edge_clocks: self.edge_clocks,
-            scheduler: self.scheduler,
-            utility: Vec::new(),
-        }
-    }
-}
-
-/// The v6 snapshot layout (availability layer, but a dense-only
-/// downlink), kept for migration. `Serialize` stays derived so tests can
-/// author v6 fixtures.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[doc(hidden)]
-pub struct CheckpointV6 {
-    /// Snapshot format version (always 6).
-    pub version: u32,
-    /// Engine configuration (legacy layout, no downlink knobs).
-    pub config: SimulationConfigV6,
-    /// Which method was running.
-    pub algorithm: AlgorithmKind,
-    /// Its hyper-parameters.
-    pub hyper: HyperParams,
-    /// Rounds completed.
-    pub round: usize,
-    /// Global model parameters.
-    pub global: Vec<f32>,
-    /// Sparse per-client state (legacy layout, no sync epoch).
-    pub states: Vec<ClientEntryV6>,
-    /// Server-side algorithm state.
-    pub server_state: Vec<Vec<f32>>,
-    /// Round records so far (legacy layout, no downlink columns).
-    pub records: Vec<RoundRecordV6>,
-    /// Root virtual-clock instant at capture.
-    pub clock: f64,
-    /// Per-edge virtual-clock instants at capture.
-    pub edge_clocks: Vec<f64>,
-    /// Scheduler position (legacy layout).
-    pub scheduler: SchedulerStateV6,
-    /// Server-side utility table.
-    pub utility: Vec<UtilityEntry>,
-}
-
-impl CheckpointV6 {
-    /// Migrate a v6 snapshot to the v7 layout: the federation it describes
-    /// broadcast the dense full model every round, so the downlink codec
-    /// zeroes out (off), sync epochs stay absent, the broadcast vectors
-    /// stay empty (restore re-anchors them to the global model on demand),
-    /// and each record's downlink bytes are recovered from the cumulative
-    /// totals it already carried. Dense downlink takes the exact legacy
-    /// engine path, so a migrated resume is bit-identical (pinned by a
-    /// test).
-    pub fn migrate(self) -> Checkpoint {
-        Checkpoint {
-            version: CHECKPOINT_VERSION,
-            config: self.config.into(),
-            algorithm: self.algorithm,
-            hyper: self.hyper,
-            round: self.round,
-            global: self.global,
-            states: self.states.into_iter().map(Into::into).collect(),
-            server_state: self.server_state,
-            records: migrate_records(self.records),
-            clock: self.clock,
-            edge_clocks: self.edge_clocks,
-            scheduler: self.scheduler.into(),
-            utility: self.utility,
-            broadcast_view: Vec::new(),
-            broadcast_last: Vec::new(),
-            broadcast_residual: Vec::new(),
-            broadcast_epoch: 0,
-        }
-    }
-}
-
-/// The v3 snapshot layout (dense client states), kept for migration.
-/// `Serialize` stays derived so tests can author v3 fixtures.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[doc(hidden)]
-pub struct CheckpointV3 {
-    /// Snapshot format version (always 3).
-    pub version: u32,
-    /// Engine configuration (legacy layout, no `edges`).
-    pub config: SimulationConfigV4,
-    /// Which method was running.
-    pub algorithm: AlgorithmKind,
-    /// Its hyper-parameters.
-    pub hyper: HyperParams,
-    /// Rounds completed.
-    pub round: usize,
-    /// Global model parameters.
-    pub global: Vec<f32>,
-    /// Dense per-client state (one entry per client, participant or not;
-    /// legacy layout, no sync epoch).
-    pub states: Vec<ClientStateV6>,
-    /// Server-side algorithm state.
-    pub server_state: Vec<Vec<f32>>,
-    /// Round records so far (legacy layout, no downlink columns).
-    pub records: Vec<RoundRecordV6>,
-    /// Virtual-clock instant at capture.
-    pub clock: f64,
-    /// Scheduler position (legacy layout).
-    pub scheduler: SchedulerStateV6,
-}
-
-impl CheckpointV3 {
-    /// Migrate a dense v3 snapshot to the sparse v4 layout: vacant states
-    /// (indistinguishable from never-participated) are dropped; everything
-    /// else carries over unchanged, so a resumed synchronous run is
-    /// bit-identical (see [`CHECKPOINT_VERSION`] for the semi-async
-    /// redispatch caveat). Chain `.migrate().migrate().migrate().migrate()`
-    /// to reach the current layout.
-    pub fn migrate(self) -> CheckpointV4 {
-        CheckpointV4 {
-            version: 4,
-            config: self.config,
-            algorithm: self.algorithm,
-            hyper: self.hyper,
-            round: self.round,
-            global: self.global,
-            states: self
-                .states
-                .into_iter()
-                .enumerate()
-                .filter(|(_, s)| !s.is_vacant())
-                .map(|(client, state)| ClientEntryV6 { client, state })
-                .collect(),
-            server_state: self.server_state,
-            records: self.records,
-            clock: self.clock,
-            scheduler: self.scheduler,
-        }
-    }
-}
-
 /// Wrap an I/O or parse failure as the uniform [`RestoreError::Snapshot`]
 /// so every way a `--resume` can fail reports through one `Display` path.
 fn snapshot_err(context: &str, detail: impl std::fmt::Display) -> RestoreError {
@@ -1007,10 +161,10 @@ impl Checkpoint {
     /// stopped.
     ///
     /// A snapshot that does not fit its own recorded configuration (wrong
-    /// parameter count, client entries beyond the federation, edge-clock
-    /// count diverging from `config.edges`, inconsistent record count)
-    /// returns a clean [`RestoreError`] instead of panicking — this is
-    /// also the path migrated legacy snapshots are validated through.
+    /// parameter count, per-client or server-side vectors of the wrong
+    /// length, client entries beyond the federation, edge-clock count
+    /// diverging from `config.edges`, inconsistent record count) returns a
+    /// clean [`RestoreError`] instead of panicking.
     pub fn restore(&self) -> Result<Simulation, RestoreError> {
         // a corrupted/hand-edited snapshot must not reach Simulation::new's
         // asserts: re-check its invariants as a clean error first
@@ -1032,11 +186,13 @@ impl Checkpoint {
                     job.client, self.config.n_clients
                 )));
             }
-            if job.outcome.params.len() != self.global.len() {
-                return Err(RestoreError::GlobalSizeMismatch {
-                    snapshot: job.outcome.params.len(),
-                    expected: self.global.len(),
-                });
+            for v in std::iter::once(&job.outcome.params).chain(&job.outcome.aux) {
+                if v.len() != self.global.len() {
+                    return Err(RestoreError::GlobalSizeMismatch {
+                        snapshot: v.len(),
+                        expected: self.global.len(),
+                    });
+                }
             }
         }
         // utility entries carry client ids too: reject out-of-range ones
@@ -1053,7 +209,7 @@ impl Checkpoint {
         let mut sim = Simulation::new(self.config, alg);
         // order matters: Simulation::new ran on_init, which sized-and-zeroed
         // the server state; overwrite it now
-        sim.restore_algorithm_state(self.server_state.clone());
+        sim.restore_algorithm_state(self.server_state.clone())?;
         sim.restore_snapshot(
             self.round,
             self.global.clone(),
@@ -1062,8 +218,8 @@ impl Checkpoint {
         )?;
         sim.restore_runtime(self.clock, &self.edge_clocks, self.scheduler.clone())?;
         sim.restore_utility(self.utility.iter().map(|e| (e.client, e.loss)));
-        // after restore_snapshot: empty broadcast vectors (dense captures,
-        // pre-v7 migrations) re-anchor to the restored global model
+        // after restore_snapshot: empty broadcast vectors (dense captures)
+        // re-anchor to the restored global model
         sim.restore_broadcast(
             self.broadcast_view.clone(),
             self.broadcast_last.clone(),
@@ -1083,18 +239,13 @@ impl Checkpoint {
         fs::write(path, json)
     }
 
-    /// Read a snapshot back, migrating the previous formats transparently:
-    /// v6 (no downlink compression) resumes as the dense-downlink
-    /// federation it was, v5 (no availability layer) additionally resumes
-    /// as the always-on federation it was with an empty utility table, v4
-    /// (no edge tier) additionally resumes as the single-edge federation
-    /// it was, v3 (dense states) additionally drops vacant entries.
+    /// Read a snapshot back.
     ///
-    /// Every failure — unreadable file, malformed JSON, foreign `version`
-    /// (including pre-versioning files, which lack the field entirely),
-    /// fields that no longer deserialize — surfaces as
-    /// [`RestoreError::Snapshot`], so callers report `--resume` problems
-    /// through one uniform [`std::fmt::Display`] path.
+    /// Every failure — unreadable file, malformed JSON, a `version` other
+    /// than [`CHECKPOINT_VERSION`] (or none at all), fields that do not
+    /// deserialize — surfaces as [`RestoreError::Snapshot`], so callers
+    /// report `--resume` problems through one uniform
+    /// [`std::fmt::Display`] path.
     pub fn load(path: &Path) -> Result<Checkpoint, RestoreError> {
         let body = fs::read_to_string(path)
             .map_err(|e| snapshot_err(&format!("cannot read {}", path.display()), e))?;
@@ -1104,44 +255,18 @@ impl Checkpoint {
         let value: serde_json::Value =
             serde_json::from_str(&body).map_err(|e| snapshot_err("malformed snapshot JSON", e))?;
         let version = value.get("version").and_then(|v| v.as_u64());
-        match version {
-            Some(v) if v == CHECKPOINT_VERSION as u64 => {
-                let ckpt: Checkpoint = serde::Deserialize::from_value(&value).map_err(|e| {
-                    snapshot_err(
-                        &format!("snapshot does not fit the v{CHECKPOINT_VERSION} layout"),
-                        e,
-                    )
-                })?;
-                Ok(ckpt)
-            }
-            Some(6) => {
-                let legacy: CheckpointV6 = serde::Deserialize::from_value(&value)
-                    .map_err(|e| snapshot_err("snapshot does not fit the v6 layout", e))?;
-                Ok(legacy.migrate())
-            }
-            Some(5) => {
-                let legacy: CheckpointV5 = serde::Deserialize::from_value(&value)
-                    .map_err(|e| snapshot_err("snapshot does not fit the v5 layout", e))?;
-                Ok(legacy.migrate().migrate())
-            }
-            Some(4) => {
-                let legacy: CheckpointV4 = serde::Deserialize::from_value(&value)
-                    .map_err(|e| snapshot_err("snapshot does not fit the v4 layout", e))?;
-                Ok(legacy.migrate().migrate().migrate())
-            }
-            Some(3) => {
-                let legacy: CheckpointV3 = serde::Deserialize::from_value(&value)
-                    .map_err(|e| snapshot_err("snapshot does not fit the v3 layout", e))?;
-                Ok(legacy.migrate().migrate().migrate().migrate())
-            }
-            other => Err(RestoreError::Snapshot(format!(
-                "checkpoint format version {} unsupported (expected {}, 6, 5, 4, or 3)",
-                other
-                    .map(|v| v.to_string())
-                    .unwrap_or_else(|| "<missing>".into()),
-                CHECKPOINT_VERSION
-            ))),
+        if version != Some(u64::from(CHECKPOINT_VERSION)) {
+            return Err(RestoreError::Snapshot(format!(
+                "checkpoint format version {} unsupported (expected {CHECKPOINT_VERSION})",
+                version.map_or_else(|| "<missing>".into(), |v| v.to_string()),
+            )));
         }
+        serde::Deserialize::from_value(&value).map_err(|e| {
+            snapshot_err(
+                &format!("snapshot does not fit the v{CHECKPOINT_VERSION} layout"),
+                e,
+            )
+        })
     }
 }
 
@@ -1325,71 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn v6_snapshot_migrates_as_dense_downlink_and_resumes_bit_identically() {
-        let hyper = HyperParams::default();
-        let config = cfg(58);
-        // straight 8-round run as ground truth
-        let mut straight = Simulation::new(config, AlgorithmKind::FedTrip.build(&hyper));
-        straight.run();
-
-        // 4 rounds, then author a v6 (pre-downlink) snapshot by hand
-        let mut first = Simulation::new(config, AlgorithmKind::FedTrip.build(&hyper));
-        for _ in 0..4 {
-            first.run_round();
-        }
-        let cur = Checkpoint::capture(&first, AlgorithmKind::FedTrip, hyper);
-        let legacy = CheckpointV6 {
-            version: 6,
-            config: cur.config.into(),
-            algorithm: cur.algorithm,
-            hyper: cur.hyper,
-            round: cur.round,
-            global: cur.global.clone(),
-            states: cur.states.iter().cloned().map(Into::into).collect(),
-            server_state: cur.server_state.clone(),
-            records: cur.records.iter().cloned().map(Into::into).collect(),
-            clock: cur.clock,
-            edge_clocks: cur.edge_clocks.clone(),
-            scheduler: cur.scheduler.clone().into(),
-            utility: cur.utility.clone(),
-        };
-        let path = std::env::temp_dir().join("fedtrip_ckpt_v6_migration_test.json");
-        fs::write(&path, serde_json::to_string(&legacy).unwrap()).unwrap();
-
-        let migrated = Checkpoint::load(&path).unwrap();
-        assert_eq!(migrated.version, CHECKPOINT_VERSION);
-        assert_eq!(
-            migrated.config.downlink_compression,
-            crate::compression::CompressionKind::None,
-            "v6 federations broadcast dense"
-        );
-        assert_eq!(migrated.config.resync_interval, 0);
-        assert!(migrated.broadcast_view.is_empty());
-        assert_eq!(migrated.broadcast_epoch, 0);
-        assert!(migrated.states.iter().all(|e| e.state.sync_epoch.is_none()));
-        // downlink bytes recovered from the cumulative totals
-        let mut prev = 0.0;
-        for (got, want) in migrated.records.iter().zip(&cur.records) {
-            assert!(
-                (got.comm_bytes_down - (want.cum_comm_bytes - prev - want.comm_bytes_up)).abs()
-                    < 1e-6,
-                "round {}: derived {} bytes",
-                got.round,
-                got.comm_bytes_down
-            );
-            assert_eq!(got.compression_ratio_down, 1.0);
-            prev = want.cum_comm_bytes;
-        }
-        let mut resumed = migrated.restore().expect("migrated checkpoint restores");
-        resumed.run();
-        assert_eq!(
-            straight.global_params(),
-            resumed.global_params(),
-            "v6-migrated resume diverged from the straight run"
-        );
-    }
-
-    #[test]
     fn checkpoint_carries_utility_table() {
         let hyper = HyperParams::default();
         let mut c = cfg(52);
@@ -1469,6 +529,136 @@ mod tests {
             err.to_string().contains("version"),
             "unexpected error: {err}"
         );
+
+        // every other layout is rejected by its version alone, before any
+        // field is looked at: minimal files suffice
+        let cases = [
+            ("3", r#"{"version": 3}"#),
+            ("4", r#"{"version": 4}"#),
+            ("5", r#"{"version": 5}"#),
+            ("6", r#"{"version": 6}"#),
+            ("8", r#"{"version": 8}"#),
+            ("<missing>", r#"{"round": 4}"#),
+        ];
+        let path = std::env::temp_dir().join("fedtrip_ckpt_foreign_version_test.json");
+        for (version, body) in cases {
+            fs::write(&path, body).unwrap();
+            let err = Checkpoint::load(&path).unwrap_err();
+            assert!(matches!(err, RestoreError::Snapshot(_)), "{version}: {err}");
+            let want = format!("version {version} unsupported (expected {CHECKPOINT_VERSION})");
+            assert!(err.to_string().contains(&want), "{version}: {err}");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_client_vectors_of_the_wrong_length() {
+        let hyper = HyperParams::default();
+        let mut sim = Simulation::new(cfg(60), AlgorithmKind::FedTrip.build(&hyper));
+        sim.run_round();
+        let mut ckpt = Checkpoint::capture(&sim, AlgorithmKind::FedTrip, hyper);
+        let hist = ckpt.states[0]
+            .state
+            .historical
+            .as_mut()
+            .expect("FedTrip keeps w̃_k");
+        hist.pop();
+        let err = ckpt.restore().map(|_| ()).unwrap_err();
+        assert!(
+            matches!(err, RestoreError::InvalidClientStates(_)),
+            "unexpected error: {err}"
+        );
+        assert!(err.to_string().contains("historical"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_server_state_of_the_wrong_shape() {
+        let hyper = HyperParams::default();
+        let mut sim = Simulation::new(cfg(61), AlgorithmKind::FedDyn.build(&hyper));
+        sim.run_round();
+        let good = Checkpoint::capture(&sim, AlgorithmKind::FedDyn, hyper);
+        type Corrupt = fn(&mut Checkpoint);
+        let corruptions: [(&str, Corrupt); 3] = [
+            ("short h", |c| {
+                c.server_state[0].pop();
+            }),
+            ("missing h", |c| c.server_state.clear()),
+            ("extra vector", |c| c.server_state.push(Vec::new())),
+        ];
+        for (name, corrupt) in corruptions {
+            let mut ckpt = good.clone();
+            corrupt(&mut ckpt);
+            let err = ckpt.restore().map(|_| ()).unwrap_err();
+            assert!(
+                matches!(err, RestoreError::ServerStateMismatch { .. }),
+                "{name}: unexpected error {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn fuzzed_snapshots_error_or_resume_without_panicking() {
+        use crate::compression::CompressionKind;
+        use fedtrip_tensor::rng::Prng;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let hyper = HyperParams::default();
+        // the smallest model and cohort that still carry every vector kind:
+        // each input is parsed in full, so snapshot size is the test's cost
+        let mut c = cfg(62);
+        c.model = ModelKind::TinyCnn;
+        c.clients_per_round = 1;
+        c.compression = CompressionKind::Q8;
+        c.error_feedback = true;
+        c.downlink_compression = CompressionKind::Q8;
+        c.resync_interval = 3;
+        let mut sim = Simulation::new(c, AlgorithmKind::FedTrip.build(&hyper));
+        for _ in 0..2 {
+            sim.run_round();
+        }
+        let ckpt = Checkpoint::capture(&sim, AlgorithmKind::FedTrip, hyper);
+        let body = serde_json::to_string(&ckpt).unwrap().into_bytes();
+
+        // 64 evenly spaced truncations, then seeded single-byte mutations:
+        // half anywhere (mostly inside the model-sized vectors), half in
+        // the scalar fields — numbers right after a `:`, i.e. the config,
+        // hyper-parameters, counters and clocks most likely to break an
+        // invariant the resumed round relies on
+        let mut inputs: Vec<Vec<u8>> = (0..64)
+            .map(|i| body[..body.len() * i / 64].to_vec())
+            .collect();
+        let is_num = |b: u8| b.is_ascii_digit() || b"-.eE+".contains(&b);
+        let scalars: Vec<usize> = (1..body.len())
+            .filter(|&i| {
+                let start = (0..=i).rev().find(|&j| !is_num(body[j])).unwrap_or(0);
+                is_num(body[i]) && body[start] == b':'
+            })
+            .collect();
+        const ALPHABET: &[u8] = b"0123456789-.e\",:[]{}n ";
+        let mut rng = Prng::seed_from_u64(2023);
+        for k in 0..200 {
+            let at = if k % 2 == 0 {
+                rng.below(body.len())
+            } else {
+                scalars[rng.below(scalars.len())]
+            };
+            let mut mutated = body.clone();
+            mutated[at] = ALPHABET[rng.below(ALPHABET.len())];
+            inputs.push(mutated);
+        }
+
+        let path = std::env::temp_dir().join("fedtrip_ckpt_fuzz_test.json");
+        let mut resumed = 0;
+        for (i, input) in inputs.iter().enumerate() {
+            fs::write(&path, input).unwrap();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let mut sim = Checkpoint::load(&path)?.restore()?;
+                sim.run_round();
+                resumed += 1;
+                Ok::<(), RestoreError>(())
+            }));
+            assert!(outcome.is_ok(), "input {i} panicked");
+        }
+        // the corpus must reach the resumed round often enough to matter
+        assert!(resumed >= 64, "only {resumed} inputs resumed");
     }
 
     #[test]
@@ -1543,148 +733,6 @@ mod tests {
     }
 
     #[test]
-    fn v4_snapshot_migrates_as_single_edge_and_resumes_bit_identically() {
-        let hyper = HyperParams::default();
-        let config = cfg(48);
-        // straight 8-round run as ground truth
-        let mut straight = Simulation::new(config, AlgorithmKind::FedTrip.build(&hyper));
-        straight.run();
-
-        // 4 rounds, then author a v4 (edge-less) snapshot by hand
-        let mut first = Simulation::new(config, AlgorithmKind::FedTrip.build(&hyper));
-        for _ in 0..4 {
-            first.run_round();
-        }
-        let cur = Checkpoint::capture(&first, AlgorithmKind::FedTrip, hyper);
-        let legacy = CheckpointV4 {
-            version: 4,
-            config: cur.config.into(),
-            algorithm: cur.algorithm,
-            hyper: cur.hyper,
-            round: cur.round,
-            global: cur.global.clone(),
-            states: cur.states.iter().cloned().map(Into::into).collect(),
-            server_state: cur.server_state.clone(),
-            records: cur.records.iter().cloned().map(Into::into).collect(),
-            clock: cur.clock,
-            scheduler: cur.scheduler.clone().into(),
-        };
-        let path = std::env::temp_dir().join("fedtrip_ckpt_v4_migration_test.json");
-        fs::write(&path, serde_json::to_string(&legacy).unwrap()).unwrap();
-
-        let migrated = Checkpoint::load(&path).unwrap();
-        assert_eq!(migrated.version, CHECKPOINT_VERSION);
-        assert_eq!(migrated.config.edges, 1);
-        assert_eq!(migrated.config.availability_period, 0, "always-on");
-        assert_eq!(migrated.edge_clocks, vec![cur.clock]);
-        assert!(migrated.utility.is_empty());
-        let mut resumed = migrated.restore().expect("migrated checkpoint restores");
-        resumed.run();
-        assert_eq!(
-            straight.global_params(),
-            resumed.global_params(),
-            "v4-migrated resume diverged from the straight run"
-        );
-    }
-
-    #[test]
-    fn v5_snapshot_migrates_as_always_on_and_resumes_bit_identically() {
-        let hyper = HyperParams::default();
-        let config = cfg(49);
-        // straight 8-round run as ground truth
-        let mut straight = Simulation::new(config, AlgorithmKind::FedTrip.build(&hyper));
-        straight.run();
-
-        // 4 rounds, then author a v5 (pre-availability) snapshot by hand
-        let mut first = Simulation::new(config, AlgorithmKind::FedTrip.build(&hyper));
-        for _ in 0..4 {
-            first.run_round();
-        }
-        let cur = Checkpoint::capture(&first, AlgorithmKind::FedTrip, hyper);
-        let legacy = CheckpointV5 {
-            version: 5,
-            config: cur.config.into(),
-            algorithm: cur.algorithm,
-            hyper: cur.hyper,
-            round: cur.round,
-            global: cur.global.clone(),
-            states: cur.states.iter().cloned().map(Into::into).collect(),
-            server_state: cur.server_state.clone(),
-            records: cur.records.iter().cloned().map(Into::into).collect(),
-            clock: cur.clock,
-            edge_clocks: cur.edge_clocks.clone(),
-            scheduler: cur.scheduler.clone().into(),
-        };
-        let path = std::env::temp_dir().join("fedtrip_ckpt_v5_migration_test.json");
-        fs::write(&path, serde_json::to_string(&legacy).unwrap()).unwrap();
-
-        let migrated = Checkpoint::load(&path).unwrap();
-        assert_eq!(migrated.version, CHECKPOINT_VERSION);
-        assert_eq!(migrated.config.availability_period, 0, "always-on");
-        assert_eq!(migrated.config.churn_join_window, 0);
-        assert_eq!(migrated.config.deadline_secs, 0.0);
-        assert!(migrated.utility.is_empty());
-        let mut resumed = migrated.restore().expect("migrated checkpoint restores");
-        resumed.run();
-        assert_eq!(
-            straight.global_params(),
-            resumed.global_params(),
-            "v5-migrated resume diverged from the straight run"
-        );
-    }
-
-    #[test]
-    fn v3_dense_snapshot_migrates_and_resumes_bit_identically() {
-        let hyper = HyperParams::default();
-        let config = cfg(41);
-        // straight 8-round run as ground truth
-        let mut straight = Simulation::new(config, AlgorithmKind::FedTrip.build(&hyper));
-        straight.run();
-
-        // 4 rounds, then author a v3 (dense-states) snapshot by hand
-        let mut first = Simulation::new(config, AlgorithmKind::FedTrip.build(&hyper));
-        for _ in 0..4 {
-            first.run_round();
-        }
-        let cur = Checkpoint::capture(&first, AlgorithmKind::FedTrip, hyper);
-        let dense: Vec<ClientStateV6> = (0..config.n_clients)
-            .map(|c| {
-                first
-                    .client_states()
-                    .get(c)
-                    .cloned()
-                    .unwrap_or_default()
-                    .into()
-            })
-            .collect();
-        let legacy = CheckpointV3 {
-            version: 3,
-            config: cur.config.into(),
-            algorithm: cur.algorithm,
-            hyper: cur.hyper,
-            round: cur.round,
-            global: cur.global.clone(),
-            states: dense,
-            server_state: cur.server_state.clone(),
-            records: cur.records.iter().cloned().map(Into::into).collect(),
-            clock: cur.clock,
-            scheduler: cur.scheduler.clone().into(),
-        };
-        let path = std::env::temp_dir().join("fedtrip_ckpt_v3_migration_test.json");
-        fs::write(&path, serde_json::to_string(&legacy).unwrap()).unwrap();
-
-        let migrated = Checkpoint::load(&path).unwrap();
-        assert_eq!(migrated.version, CHECKPOINT_VERSION);
-        let mut resumed = migrated.restore().expect("migrated checkpoint restores");
-        resumed.run();
-        assert_eq!(
-            straight.global_params(),
-            resumed.global_params(),
-            "v3-migrated resume diverged from the straight run"
-        );
-    }
-
-    #[test]
     fn restore_reports_clean_error_on_config_mismatch() {
         let hyper = HyperParams::default();
         let mut sim = Simulation::new(cfg(42), AlgorithmKind::FedAvg.build(&hyper));
@@ -1728,10 +776,11 @@ mod tests {
         let mut sim = Simulation::new(cfg(44), AlgorithmKind::FedAvg.build(&hyper));
         sim.run_round();
         let good = Checkpoint::capture(&sim, AlgorithmKind::FedAvg, hyper);
-        // each corruption used to hit a Simulation::new assert (panic);
-        // all must now surface as a clean RestoreError
+        // each corruption used to hit an assert in Simulation::new or in
+        // the first resumed round's optimizer; all must now surface as a
+        // clean RestoreError
         type Corrupt = fn(&mut Checkpoint);
-        let corruptions: [(&str, Corrupt); 7] = [
+        let corruptions: [(&str, Corrupt); 9] = [
             ("K > N", |c| {
                 c.config.clients_per_round = c.config.n_clients + 1
             }),
@@ -1741,6 +790,8 @@ mod tests {
             ("zero edges", |c| c.config.edges = 0),
             ("zero test_per_class", |c| c.config.test_per_class = 0),
             ("zero batch_size", |c| c.config.batch_size = 0),
+            ("zero lr", |c| c.config.lr = 0.0),
+            ("unit momentum", |c| c.config.momentum = 1.0),
         ];
         for (name, corrupt) in corruptions {
             let mut ckpt = good.clone();

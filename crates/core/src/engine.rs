@@ -218,6 +218,26 @@ impl SimulationConfig {
         if self.test_per_class == 0 {
             return Err("test_per_class must be positive".into());
         }
+        // the local optimizers assert these; reject them here instead
+        if !(self.lr.is_finite() && self.lr > 0.0) {
+            return Err("lr must be positive and finite".into());
+        }
+        if !(0.0..1.0).contains(&self.momentum) {
+            return Err("momentum must be in [0, 1)".into());
+        }
+        match self.lr_schedule {
+            LrSchedule::Constant => {}
+            LrSchedule::StepDecay { every, factor } => {
+                if every == 0 || !(factor > 0.0 && factor <= 1.0) {
+                    return Err("step decay needs a positive period and a factor in (0, 1]".into());
+                }
+            }
+            LrSchedule::Cosine { total, min_lr } => {
+                if total == 0 || !(min_lr.is_finite() && min_lr > 0.0) {
+                    return Err("cosine decay needs a positive total and min_lr".into());
+                }
+            }
+        }
         if self.device_het.is_nan() || self.device_het < 1.0 {
             return Err("device_het must be >= 1".into());
         }
@@ -335,6 +355,14 @@ pub enum RestoreError {
         /// Edge aggregators the configuration asks for.
         expected: usize,
     },
+    /// The snapshot's server-side algorithm state does not have the shape
+    /// the configured method keeps (vector count or a vector's length).
+    ServerStateMismatch {
+        /// Vector lengths in the snapshot.
+        snapshot: Vec<usize>,
+        /// Vector lengths the method's `on_init` produced.
+        expected: Vec<usize>,
+    },
     /// The checkpoint file itself could not be read, parsed, or recognized
     /// (I/O failure, malformed JSON, unsupported format version).
     Snapshot(String),
@@ -360,6 +388,10 @@ impl std::fmt::Display for RestoreError {
             RestoreError::EdgeClocksMismatch { snapshot, expected } => write!(
                 f,
                 "snapshot carries {snapshot} edge clocks but the configuration has {expected} edge aggregators"
+            ),
+            RestoreError::ServerStateMismatch { snapshot, expected } => write!(
+                f,
+                "snapshot carries server-state vectors of lengths {snapshot:?} but the method keeps {expected:?}"
             ),
             RestoreError::Snapshot(msg) => write!(f, "cannot load checkpoint: {msg}"),
         }
@@ -587,9 +619,18 @@ impl Simulation {
     }
 
     /// Restore server-side algorithm state (must run *after* construction —
-    /// `Simulation::new` calls `on_init`, which reinitializes it).
-    pub fn restore_algorithm_state(&mut self, state: Vec<Vec<f32>>) {
+    /// `Simulation::new` calls `on_init`, which reinitializes it). State
+    /// whose shape — vector count and each vector's length — differs from
+    /// what `on_init` produced returns a clean [`RestoreError`] and leaves
+    /// the simulation untouched.
+    pub fn restore_algorithm_state(&mut self, state: Vec<Vec<f32>>) -> Result<(), RestoreError> {
+        let shape = |s: &[Vec<f32>]| s.iter().map(Vec::len).collect::<Vec<_>>();
+        let (snapshot, expected) = (shape(&state), shape(&self.algorithm.server_state()));
+        if snapshot != expected {
+            return Err(RestoreError::ServerStateMismatch { snapshot, expected });
+        }
         self.algorithm.restore_server_state(state);
+        Ok(())
     }
 
     /// Scheduler position (clock-independent) for checkpointing.
@@ -639,7 +680,7 @@ impl Simulation {
                 expected: self.global.len(),
             });
         }
-        let store = ClientStateStore::from_entries(self.cfg.n_clients, states)
+        let store = ClientStateStore::from_entries(self.cfg.n_clients, self.global.len(), states)
             .map_err(RestoreError::InvalidClientStates)?;
         if records.len() != round {
             return Err(RestoreError::RecordsMismatch {
@@ -679,10 +720,9 @@ impl Simulation {
 
     /// Restore the downlink broadcast state from a checkpoint. Must run
     /// *after* [`Simulation::restore_snapshot`] (it anchors empty snapshot
-    /// vectors — dense-downlink captures, pre-v7 migrations — to the
-    /// restored global model). A non-empty vector whose length does not
-    /// match the model returns a clean [`RestoreError`] and leaves the
-    /// simulation untouched.
+    /// vectors — dense-downlink captures — to the restored global model).
+    /// A non-empty vector whose length does not match the model returns a
+    /// clean [`RestoreError`] and leaves the simulation untouched.
     pub fn restore_broadcast(
         &mut self,
         view: Vec<f32>,

@@ -145,9 +145,9 @@ fn always_on_availability_reproduces_pre_availability_records_bit_for_bit() {
 
 /// The downlink's dense setting must be *exactly* the pre-downlink
 /// broadcast: explicitly configuring a dense downlink (no codec, zero
-/// resync interval — the default, and what every pre-v7 checkpoint
-/// migrates to) reproduces the same pre-refactor fixture bit-for-bit —
-/// selection, losses, byte accounting and accuracies. This is the pin
+/// resync interval — the default) reproduces the same pre-refactor
+/// fixture bit-for-bit — selection, losses, byte accounting and
+/// accuracies. This is the pin
 /// behind the claim that delta broadcasts are purely additive: with the
 /// feature off, the engine never touches the broadcast state and charges
 /// the same `down + up` f64 sum as the legacy per-client charge.

@@ -16,8 +16,8 @@ use crate::lexer::TokenKind;
 pub struct SchemaInfo {
     /// Value of `CHECKPOINT_VERSION`.
     pub version: u64,
-    /// Serialized structs: (name, field names, (start_line, end_line)).
-    pub structs: Vec<(String, Vec<String>, (u32, u32))>,
+    /// Serialized structs: (name, field names, line of the name).
+    pub structs: Vec<(String, Vec<String>, u32)>,
 }
 
 /// Extract [`SchemaInfo`] from the checkpoint source, or `None` when the
@@ -105,8 +105,7 @@ pub fn extract(ctx: &FileCtx) -> Option<SchemaInfo> {
                 k += 1;
             }
             if k < t.len() && t[k].text == "{" {
-                let (fields, end) = struct_fields(t, k);
-                structs.push((name, fields, (t[j + 1].line, end)));
+                structs.push((name, struct_fields(t, k), t[j + 1].line));
             }
         }
         i = j.max(i + 1);
@@ -114,14 +113,12 @@ pub fn extract(ctx: &FileCtx) -> Option<SchemaInfo> {
     Some(SchemaInfo { version, structs })
 }
 
-/// Field names of the struct body opening at token index `open` (a `{`),
-/// plus the closing line.
-fn struct_fields(t: &[crate::lexer::Token], open: usize) -> (Vec<String>, u32) {
+/// Field names of the struct body opening at token index `open` (a `{`).
+fn struct_fields(t: &[crate::lexer::Token], open: usize) -> Vec<String> {
     let mut fields = Vec::new();
     let mut depth = 0i32;
     let mut i = open;
     let mut expecting = false;
-    let mut end_line = t[open].line;
     while i < t.len() {
         match t[i].text.as_str() {
             "{" | "(" | "[" => {
@@ -133,7 +130,6 @@ fn struct_fields(t: &[crate::lexer::Token], open: usize) -> (Vec<String>, u32) {
             "}" | ")" | "]" => {
                 depth -= 1;
                 if depth == 0 {
-                    end_line = t[i].line;
                     break;
                 }
             }
@@ -179,7 +175,7 @@ fn struct_fields(t: &[crate::lexer::Token], open: usize) -> (Vec<String>, u32) {
         }
         i += 1;
     }
-    (fields, end_line)
+    fields
 }
 
 /// Render the canonical manifest for `info` (what `lint_gate
@@ -254,7 +250,7 @@ pub fn check(ctx: &FileCtx, manifest: Option<&str>, manifest_rel: &str, out: &mu
         .get("structs")
         .and_then(|v| v.as_object())
         .unwrap_or(empty);
-    for (name, fields, (line, _)) in &info.structs {
+    for (name, fields, line) in &info.structs {
         let Some((_, mf)) = manifest_structs.iter().find(|(k, _)| k == name) else {
             push(
                 out,
@@ -301,9 +297,10 @@ pub fn check(ctx: &FileCtx, manifest: Option<&str>, manifest_rel: &str, out: &mu
     doc_checks(ctx, &info, out);
 }
 
-/// Doc-text and string-literal version checks: `always N` comments must
-/// match their struct's version, and no string literal may hardcode a
-/// `v<N> layout` phrase (it goes stale the moment the version bumps).
+/// Doc-text and string-literal version checks: every `always N` comment
+/// must name the current version (the file holds one layout), and no
+/// string literal may hardcode a `v<N> layout` phrase (it goes stale the
+/// moment the version bumps).
 fn doc_checks(ctx: &FileCtx, info: &SchemaInfo, out: &mut Vec<Diagnostic>) {
     let mut push = |line: u32, message: String| {
         if !ctx.sanctioned("checkpoint-schema", line) {
@@ -317,29 +314,13 @@ fn doc_checks(ctx: &FileCtx, info: &SchemaInfo, out: &mut Vec<Diagnostic>) {
     };
     for c in ctx.comments {
         for claimed in phrase_numbers(&c.text, "always ") {
-            // expected version: the suffix of the enclosing `…V<M>` legacy
-            // struct, else the current version
-            let enclosing = info
-                .structs
-                .iter()
-                .find(|(_, _, (s, e))| c.line >= *s && c.line <= *e)
-                .or_else(|| {
-                    // leading doc: attribute to a struct starting within a
-                    // few lines below the comment (attributes in between)
-                    info.structs
-                        .iter()
-                        .filter(|(_, _, (s, _))| *s >= c.end_line && *s - c.end_line <= 6)
-                        .min_by_key(|(_, _, (s, _))| *s)
-                });
-            let expected = enclosing
-                .and_then(|(name, _, _)| version_suffix(name))
-                .unwrap_or(info.version);
-            if claimed != expected {
+            if claimed != info.version {
                 push(
                     c.line,
                     format!(
-                        "doc says the version field is always {claimed}, but this layout is \
-                         version {expected}; stale version docs mislead checkpoint forensics"
+                        "doc says the version field is always {claimed}, but the layout is \
+                         version {}; stale version docs mislead checkpoint forensics",
+                        info.version
                     ),
                 );
             }
@@ -350,18 +331,15 @@ fn doc_checks(ctx: &FileCtx, info: &SchemaInfo, out: &mut Vec<Diagnostic>) {
             continue;
         }
         for n in phrase_numbers(&t.text, "v") {
-            // legacy-loader messages pin their own frozen version forever;
-            // only the *current* layout's message can go stale at a bump
-            if n < info.version || !t.text.contains(&format!("v{n} layout")) {
-                continue;
+            if t.text.contains(&format!("v{n} layout")) {
+                push(
+                    t.line,
+                    format!(
+                        "string literal hardcodes \"v{n} layout\"; interpolate \
+                         CHECKPOINT_VERSION so the message cannot go stale"
+                    ),
+                );
             }
-            push(
-                t.line,
-                format!(
-                    "string literal hardcodes \"v{n} layout\"; interpolate \
-                     CHECKPOINT_VERSION so the message cannot go stale"
-                ),
-            );
         }
     }
 }
@@ -391,16 +369,6 @@ fn phrase_numbers(text: &str, prefix: &str) -> Vec<u64> {
     out
 }
 
-/// `CheckpointV4` → `Some(4)`.
-fn version_suffix(name: &str) -> Option<u64> {
-    let pos = name.rfind('V')?;
-    let digits = &name[pos + 1..];
-    if digits.is_empty() || !digits.chars().all(|c| c.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,11 +381,11 @@ pub const CHECKPOINT_VERSION: u32 = 5;
 pub struct Checkpoint {
     pub version: u32,
     pub round: u64,
+    pub states: Vec<ClientEntry>,
 }
-/// Legacy layout; version is always 4 here.
 #[derive(Deserialize)]
-struct CheckpointV4 {
-    version: u32,
+struct ClientEntry {
+    client: usize,
 }
 struct NotSerialized { x: u32 }
 "#;
@@ -429,8 +397,8 @@ struct NotSerialized { x: u32 }
         let info = extract(&ctx).unwrap();
         assert_eq!(info.version, 5);
         let names: Vec<&str> = info.structs.iter().map(|(n, _, _)| n.as_str()).collect();
-        assert_eq!(names, ["Checkpoint", "CheckpointV4"]);
-        assert_eq!(info.structs[0].1, ["version", "round"]);
+        assert_eq!(names, ["Checkpoint", "ClientEntry"]);
+        assert_eq!(info.structs[0].1, ["version", "round", "states"]);
     }
 
     #[test]
@@ -451,8 +419,11 @@ struct NotSerialized { x: u32 }
 
     #[test]
     fn stale_always_doc_and_hardcoded_layout_string_fire() {
-        let src = SRC.replace("always 4 here", "always 3 here")
-            + "fn f() -> &'static str { \"does not fit the v5 layout\" }\n";
+        // one layout per file: an older version number is as stale as a
+        // newer one, in a doc comment or in an error string
+        let src = SRC.replace("always 5.", "always 4.")
+            + "fn f() -> &'static str { \"does not fit the v5 layout\" }\n"
+            + "fn g() -> &'static str { \"does not fit the v3 layout\" }\n";
         let l = lex(&src);
         let ctx = FileCtx::new("c.rs".into(), "core".into(), &l);
         let info = extract(&ctx).unwrap();
@@ -460,9 +431,10 @@ struct NotSerialized { x: u32 }
         let mut out = Vec::new();
         check(&ctx, Some(&manifest), "m.json", &mut out);
         let msgs: Vec<&str> = out.iter().map(|d| d.message.as_str()).collect();
-        assert_eq!(out.len(), 2, "{msgs:?}");
-        assert!(msgs.iter().any(|m| m.contains("always 3")));
+        assert_eq!(out.len(), 3, "{msgs:?}");
+        assert!(msgs.iter().any(|m| m.contains("always 4")));
         assert!(msgs.iter().any(|m| m.contains("v5 layout")));
+        assert!(msgs.iter().any(|m| m.contains("v3 layout")));
     }
 
     #[test]
