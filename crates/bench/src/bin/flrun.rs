@@ -4,13 +4,13 @@
 //! cargo run --release -p fedtrip-bench --bin flrun -- \
 //!     --alg fedtrip --dataset mnist --model cnn --het dir0.5 \
 //!     --clients 10 --per-round 4 --rounds 30 --mu 0.4 \
-//!     --scale default --checkpoint run.json
+//!     --scale default --checkpoint run.ckpt
 //! ```
 //!
 //! Prints the accuracy trajectory and summary on stdout (diagnostics —
 //! partition-regime notes, residency, checkpoint paths — go to stderr so
 //! piped output stays a clean table); optionally checkpoints the finished
-//! run so it can be extended later with `--resume run.json --rounds N`.
+//! run so it can be extended later with `--resume run.ckpt --rounds N`.
 //! Upload compression is `--compress q8|q4|topk:0.01` (optionally with
 //! `--error-feedback`); the virtual clock then charges the encoded uplink
 //! bytes, visible in the `up-MB/rnd` column. Downlink compression is

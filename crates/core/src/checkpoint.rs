@@ -13,23 +13,15 @@ use crate::runtime::SchedulerState;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::mem;
+use std::path::{Path, PathBuf};
 
-/// The snapshot format version. A v7 snapshot carries the configuration
-/// (including the edge tier, availability/churn/deadline and downlink
-/// codec/resync knobs), the global model, sparse per-client states (with
-/// each client's error-feedback residual and broadcast sync epoch), the
-/// server-side algorithm state, the round records, the root and per-edge
-/// virtual clocks, the scheduler's in-flight/buffered jobs, the Oort
-/// utility table and the server's downlink broadcast state. No RNG or
-/// availability cursor is stored: every random stream and every trace is a
-/// pure function of `(seed, tags, round, client)`.
-///
-/// Every other version, and a file without a `version` field, is rejected
-/// by [`Checkpoint::load`]; the version is checked *before* full
-/// deserialization, so a foreign snapshot reports its version instead of a
-/// confusing missing-field error.
-pub const CHECKPOINT_VERSION: u32 = 7;
+/// The snapshot format version. A file is one line of compact JSON — the
+/// [`Checkpoint`] with every f32 tensor emptied — then one raw section per
+/// tensor slot in canonical order: a `u64` element count and that many
+/// `f32`s, all little-endian. [`Checkpoint::load`] rejects every other
+/// version, or none, by name before deserializing the rest.
+pub const CHECKPOINT_VERSION: u32 = 8;
 
 /// One sparse client-state entry of a snapshot.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -229,31 +221,90 @@ impl Checkpoint {
         Ok(sim)
     }
 
-    /// Write the snapshot as JSON.
+    /// Every f32 tensor slot in canonical order: `global`, each
+    /// `server_state` vector, each client's `historical` / `correction` /
+    /// `residual` when present, each scheduler job's `params` and `aux`
+    /// when present, then the three broadcast vectors. [`Checkpoint::save`]
+    /// writes and [`Checkpoint::load`] reads the sections in this order.
+    fn tensor_slots(&mut self) -> Vec<&mut Vec<f32>> {
+        let mut slots = vec![&mut self.global];
+        slots.extend(&mut self.server_state);
+        for entry in &mut self.states {
+            let s = &mut entry.state;
+            slots.extend(
+                [&mut s.historical, &mut s.correction, &mut s.residual]
+                    .into_iter()
+                    .flatten(),
+            );
+        }
+        let scheduler = &mut self.scheduler;
+        for job in scheduler.in_flight.iter_mut().chain(&mut scheduler.buffer) {
+            slots.push(&mut job.outcome.params);
+            slots.extend(&mut job.outcome.aux);
+        }
+        slots.extend([
+            &mut self.broadcast_view,
+            &mut self.broadcast_last,
+            &mut self.broadcast_residual,
+        ]);
+        slots
+    }
+
+    /// Write the snapshot (layout at [`CHECKPOINT_VERSION`]) to a sibling
+    /// `<path>.tmp`, then rename it over `path`, so a failed write leaves
+    /// the previous snapshot in place. Nothing is fsynced.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         if let Some(dir) = path.parent() {
             fs::create_dir_all(dir)?;
         }
-        let json = serde_json::to_string(self)
+        let mut header = self.clone();
+        let tensors: Vec<Vec<f32>> = header.tensor_slots().into_iter().map(mem::take).collect();
+        let json = serde_json::to_string(&header)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        fs::write(path, json)
+        let payload: usize = tensors.iter().map(|t| 8 + 4 * t.len()).sum();
+        let mut bytes = Vec::with_capacity(json.len() + 1 + payload);
+        bytes.extend_from_slice(json.as_bytes());
+        bytes.push(b'\n');
+        for t in &tensors {
+            bytes.extend_from_slice(&(t.len() as u64).to_le_bytes());
+            let start = bytes.len();
+            bytes.resize(start + 4 * t.len(), 0);
+            for (out, x) in bytes[start..].chunks_exact_mut(4).zip(t) {
+                out.copy_from_slice(&x.to_le_bytes());
+            }
+        }
+        let tmp = temp_path(path);
+        let written = fs::write(&tmp, &bytes).and_then(|()| fs::rename(&tmp, path));
+        if written.is_err() {
+            // best effort: the temp path may not even be a file
+            let _ = fs::remove_file(&tmp);
+        }
+        written
     }
 
     /// Read a snapshot back.
     ///
-    /// Every failure — unreadable file, malformed JSON, a `version` other
-    /// than [`CHECKPOINT_VERSION`] (or none at all), fields that do not
-    /// deserialize — surfaces as [`RestoreError::Snapshot`], so callers
-    /// report `--resume` problems through one uniform
-    /// [`std::fmt::Display`] path.
+    /// Every failure — unreadable file, a malformed or non-UTF-8 header, a
+    /// `version` other than [`CHECKPOINT_VERSION`] (or none at all), fields
+    /// that do not deserialize, missing, overlong or surplus tensor
+    /// sections — surfaces as [`RestoreError::Snapshot`], so callers report
+    /// `--resume` problems through one uniform [`std::fmt::Display`] path.
     pub fn load(path: &Path) -> Result<Checkpoint, RestoreError> {
-        let body = fs::read_to_string(path)
+        let bytes = fs::read(path)
             .map_err(|e| snapshot_err(&format!("cannot read {}", path.display()), e))?;
+        // compact JSON never holds a raw newline, so the first one ends the
+        // header; a file without one (an older JSON-only snapshot) is all
+        // header and gets rejected by its version below
+        let (header, mut sections) = match bytes.iter().position(|&b| b == b'\n') {
+            Some(nl) => (&bytes[..nl], &bytes[nl + 1..]),
+            None => (&bytes[..], &[][..]),
+        };
+        let header = std::str::from_utf8(header).map_err(|e| snapshot_err("snapshot header", e))?;
         // check the version off the raw JSON first: a snapshot from another
         // format version should report that version, not whatever
         // missing-field error full deserialization happens to hit first
-        let value: serde_json::Value =
-            serde_json::from_str(&body).map_err(|e| snapshot_err("malformed snapshot JSON", e))?;
+        let value: serde_json::Value = serde_json::from_str(header)
+            .map_err(|e| snapshot_err("malformed snapshot header", e))?;
         let version = value.get("version").and_then(|v| v.as_u64());
         if version != Some(u64::from(CHECKPOINT_VERSION)) {
             return Err(RestoreError::Snapshot(format!(
@@ -261,13 +312,59 @@ impl Checkpoint {
                 version.map_or_else(|| "<missing>".into(), |v| v.to_string()),
             )));
         }
-        serde::Deserialize::from_value(&value).map_err(|e| {
+        let mut ckpt: Checkpoint = serde::Deserialize::from_value(&value).map_err(|e| {
             snapshot_err(
                 &format!("snapshot does not fit the v{CHECKPOINT_VERSION} layout"),
                 e,
             )
-        })
+        })?;
+        for (i, slot) in ckpt.tensor_slots().into_iter().enumerate() {
+            if !slot.is_empty() {
+                return Err(snapshot_err(
+                    &format!("tensor slot {i}"),
+                    "data inline in the header",
+                ));
+            }
+            *slot = read_section(&mut sections)
+                .map_err(|e| snapshot_err(&format!("tensor section {i}"), e))?;
+        }
+        if !sections.is_empty() {
+            return Err(snapshot_err(
+                "snapshot",
+                format!("{} bytes past the last tensor section", sections.len()),
+            ));
+        }
+        Ok(ckpt)
     }
+}
+
+/// The sibling file [`Checkpoint::save`] writes before renaming it over
+/// `path`.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
+}
+
+/// Split one tensor section — a little-endian `u64` count, then that many
+/// little-endian `f32`s — off the front of `rest`. The count is checked
+/// against the bytes left before anything is allocated.
+fn read_section(rest: &mut &[u8]) -> Result<Vec<f32>, String> {
+    let (count, tail) = rest
+        .split_first_chunk::<8>()
+        .ok_or_else(|| format!("missing (only {} bytes left)", rest.len()))?;
+    let count = u64::from_le_bytes(*count);
+    let len = usize::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(4))
+        .filter(|&len| len <= tail.len())
+        .ok_or_else(|| format!("{count} elements overrun the {} bytes left", tail.len()))?;
+    let (data, tail) = tail.split_at(len);
+    *rest = tail;
+    Ok(data
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect())
 }
 
 #[cfg(test)]
@@ -537,7 +634,8 @@ mod tests {
             ("4", r#"{"version": 4}"#),
             ("5", r#"{"version": 5}"#),
             ("6", r#"{"version": 6}"#),
-            ("8", r#"{"version": 8}"#),
+            ("7", r#"{"version": 7, "round": 4, "global": [0.5, -0]}"#),
+            ("9", r#"{"version": 9}"#),
             ("<missing>", r#"{"round": 4}"#),
         ];
         let path = std::env::temp_dir().join("fedtrip_ckpt_foreign_version_test.json");
@@ -601,8 +699,7 @@ mod tests {
         use fedtrip_tensor::rng::Prng;
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let hyper = HyperParams::default();
-        // the smallest model and cohort that still carry every vector kind:
-        // each input is parsed in full, so snapshot size is the test's cost
+        // the smallest model and cohort that still carry every vector kind
         let mut c = cfg(62);
         c.model = ModelKind::TinyCnn;
         c.clients_per_round = 1;
@@ -614,38 +711,62 @@ mod tests {
         for _ in 0..2 {
             sim.run_round();
         }
-        let ckpt = Checkpoint::capture(&sim, AlgorithmKind::FedTrip, hyper);
-        let body = serde_json::to_string(&ckpt).unwrap().into_bytes();
+        let mut ckpt = Checkpoint::capture(&sim, AlgorithmKind::FedTrip, hyper);
+        let path = std::env::temp_dir().join("fedtrip_ckpt_fuzz_test.ckpt");
+        ckpt.save(&path).unwrap();
+        let body = fs::read(&path).unwrap();
 
-        // 64 evenly spaced truncations, then seeded single-byte mutations:
-        // half anywhere (mostly inside the model-sized vectors), half in
-        // the scalar fields — numbers right after a `:`, i.e. the config,
-        // hyper-parameters, counters and clocks most likely to break an
-        // invariant the resumed round relies on
-        let mut inputs: Vec<Vec<u8>> = (0..64)
-            .map(|i| body[..body.len() * i / 64].to_vec())
+        // where each section starts, and the byte ranges of its count and
+        // its payload
+        let header_len = body.iter().position(|&b| b == b'\n').unwrap();
+        let mut boundaries = vec![header_len + 1];
+        let (mut counts, mut payloads) = (Vec::new(), Vec::new());
+        for slot in ckpt.tensor_slots() {
+            let at = *boundaries.last().unwrap();
+            counts.extend(at..at + 8);
+            payloads.extend(at + 8..at + 8 + 4 * slot.len());
+            boundaries.push(at + 8 + 4 * slot.len());
+        }
+        assert_eq!(boundaries.last(), Some(&body.len()));
+
+        // truncations at every section boundary and one byte either side,
+        // plus 64 evenly spaced ones
+        let mut cuts: Vec<usize> = boundaries
+            .iter()
+            .flat_map(|&b| [b - 1, b, b + 1])
+            .filter(|&cut| cut < body.len())
             .collect();
+        cuts.extend((0..64).map(|i| body.len() * i / 64));
+        let mut inputs: Vec<Vec<u8>> = cuts.iter().map(|&cut| body[..cut].to_vec()).collect();
+
+        // seeded single-byte mutations: half in the header's scalar fields
+        // (numbers right after a `:` — the config, hyper-parameters,
+        // counters and clocks most likely to break an invariant the resumed
+        // round relies on), a quarter in the length prefixes, a quarter in
+        // the tensor payloads
+        let header = &body[..header_len];
         let is_num = |b: u8| b.is_ascii_digit() || b"-.eE+".contains(&b);
-        let scalars: Vec<usize> = (1..body.len())
+        let scalars: Vec<usize> = (1..header.len())
             .filter(|&i| {
-                let start = (0..=i).rev().find(|&j| !is_num(body[j])).unwrap_or(0);
-                is_num(body[i]) && body[start] == b':'
+                let start = (0..=i).rev().find(|&j| !is_num(header[j])).unwrap_or(0);
+                is_num(header[i]) && header[start] == b':'
             })
             .collect();
         const ALPHABET: &[u8] = b"0123456789-.e\",:[]{}n ";
         let mut rng = Prng::seed_from_u64(2023);
         for k in 0..200 {
-            let at = if k % 2 == 0 {
-                rng.below(body.len())
-            } else {
-                scalars[rng.below(scalars.len())]
-            };
             let mut mutated = body.clone();
-            mutated[at] = ALPHABET[rng.below(ALPHABET.len())];
+            if k % 2 == 0 {
+                let at = scalars[rng.below(scalars.len())];
+                mutated[at] = ALPHABET[rng.below(ALPHABET.len())];
+            } else {
+                let region = if k % 4 == 1 { &counts } else { &payloads };
+                let at = region[rng.below(region.len())];
+                mutated[at] ^= 1 + rng.below(255) as u8;
+            }
             inputs.push(mutated);
         }
 
-        let path = std::env::temp_dir().join("fedtrip_ckpt_fuzz_test.json");
         let mut resumed = 0;
         for (i, input) in inputs.iter().enumerate() {
             fs::write(&path, input).unwrap();
@@ -659,6 +780,110 @@ mod tests {
         }
         // the corpus must reach the resumed round often enough to matter
         assert!(resumed >= 64, "only {resumed} inputs resumed");
+    }
+
+    #[test]
+    fn snapshot_tensors_round_trip_bit_exact() {
+        use crate::compression::CompressionKind;
+        // what a decimal JSON number cannot carry: the sign of zero, a NaN
+        // payload, the infinities, the smallest subnormal, the largest f32
+        let specials = [
+            -0.0,
+            f32::from_bits(0x7fc0_1234),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            f32::MAX,
+        ];
+        let plant = |v: &mut Vec<f32>| v[..specials.len()].copy_from_slice(&specials);
+        let hyper = HyperParams::default();
+        let mut c = cfg(63);
+        c.downlink_compression = CompressionKind::TopK(0.1);
+        c.resync_interval = 0; // never resync: the residual accumulates
+        let path = std::env::temp_dir().join("fedtrip_ckpt_bit_exact_test.ckpt");
+        for kind in [AlgorithmKind::FedTrip, AlgorithmKind::FedDyn] {
+            let mut sim = Simulation::new(c, kind.build(&hyper));
+            sim.run_round();
+            let mut ckpt = Checkpoint::capture(&sim, kind, hyper);
+            if kind == AlgorithmKind::FedTrip {
+                plant(&mut ckpt.global);
+                plant(ckpt.states[0].state.historical.as_mut().unwrap());
+                plant(&mut ckpt.broadcast_residual);
+            } else {
+                plant(&mut ckpt.server_state[0]);
+            }
+            ckpt.save(&path).unwrap();
+            let mut loaded = Checkpoint::load(&path).unwrap();
+            let bits = |c: &mut Checkpoint| -> Vec<Vec<u32>> {
+                c.tensor_slots()
+                    .iter()
+                    .map(|v| v.iter().map(|x| x.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(bits(&mut loaded), bits(&mut ckpt), "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn save_replaces_the_snapshot_atomically() {
+        let hyper = HyperParams::default();
+        let mut sim = Simulation::new(cfg(64), AlgorithmKind::FedTrip.build(&hyper));
+        sim.run_round();
+        let path = std::env::temp_dir().join("fedtrip_ckpt_atomic_test.ckpt");
+        let tmp = temp_path(&path);
+        let _ = fs::remove_dir(&tmp);
+        Checkpoint::capture(&sim, AlgorithmKind::FedTrip, hyper)
+            .save(&path)
+            .unwrap();
+        assert!(!tmp.exists(), "a successful save left {}", tmp.display());
+
+        // a directory where the temp file goes makes the next write fail;
+        // the snapshot already at `path` must survive it intact
+        sim.run_round();
+        fs::create_dir(&tmp).unwrap();
+        let failed = Checkpoint::capture(&sim, AlgorithmKind::FedTrip, hyper).save(&path);
+        fs::remove_dir(&tmp).unwrap();
+        assert!(failed.is_err(), "save into a blocked temp path succeeded");
+        let previous = Checkpoint::load(&path).expect("previous snapshot still loads");
+        assert_eq!(previous.round, 1);
+        previous
+            .restore()
+            .expect("previous snapshot still restores");
+    }
+
+    #[test]
+    fn load_rejects_misframed_snapshots() {
+        let hyper = HyperParams::default();
+        let mut sim = Simulation::new(cfg(65), AlgorithmKind::FedTrip.build(&hyper));
+        sim.run_round();
+        let path = std::env::temp_dir().join("fedtrip_ckpt_framing_test.ckpt");
+        Checkpoint::capture(&sim, AlgorithmKind::FedTrip, hyper)
+            .save(&path)
+            .unwrap();
+        let body = fs::read(&path).unwrap();
+        let first = body.iter().position(|&b| b == b'\n').unwrap() + 1;
+        type Corrupt = fn(&mut Vec<u8>, usize);
+        let corruptions: [(&str, Corrupt); 6] = [
+            // a count near 2^64 must not reach the allocator
+            ("flipped high count byte", |b, at| b[at + 7] = 0xff),
+            // the last section is the dense run's empty broadcast residual
+            ("missing section", |b, _| b.truncate(b.len() - 8)),
+            ("surplus section", |b, _| b.extend(0u64.to_le_bytes())),
+            ("trailing byte", |b, _| b.push(0)),
+            ("non-UTF-8 header", |b, _| b[1] = 0xff),
+            ("inline tensor", |b, at| {
+                let header = String::from_utf8(b[..at].to_vec()).unwrap();
+                let inline = header.replacen("\"global\":[]", "\"global\":[1]", 1);
+                b.splice(..at, inline.into_bytes());
+            }),
+        ];
+        for (name, corrupt) in corruptions {
+            let mut input = body.clone();
+            corrupt(&mut input, first);
+            fs::write(&path, &input).unwrap();
+            let err = Checkpoint::load(&path).map(|_| ()).unwrap_err();
+            assert!(matches!(err, RestoreError::Snapshot(_)), "{name}: {err}");
+        }
     }
 
     #[test]

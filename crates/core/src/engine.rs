@@ -436,10 +436,10 @@ pub struct Simulation {
     broadcast_residual: Option<Vec<f32>>,
     /// Broadcast sync epoch — bumped on every periodic resync; clients
     /// whose [`crate::algorithms::ClientState::sync_epoch`] lags receive an
-    /// on-demand dense base before any delta (checkpointed in v7).
+    /// on-demand dense base before any delta (checkpointed).
     broadcast_epoch: u64,
     /// Per-client statistical utility (most recent observed mean loss),
-    /// feeding the Oort selection strategy; checkpointed in v6.
+    /// feeding the Oort selection strategy; checkpointed.
     utility: UtilityTable,
     /// Per-client fold counts (diagnostic for the participation-Gini
     /// metric; bounded by the distinct participants, not `N`; not
