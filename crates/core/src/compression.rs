@@ -8,10 +8,15 @@
 //! accounting ([`Compressor::encoded_len`] is what the virtual clock and
 //! the cost tables charge), and an optional error-feedback buffer
 //! accumulates what each round's encoding dropped so the lost mass is
-//! retransmitted later instead of vanishing. The same [`error_feedback_step`]
-//! drives the client-side uplink buffer and the server-side residual that
-//! backs compressed downlink delta broadcasts (the engine encodes
-//! `Δ = w_global − w_broadcast` each round; see `DESIGN.md`).
+//! retransmitted later instead of vanishing. One fused round trip,
+//! [`error_feedback_into`], drives the client-side uplink buffer, the aux
+//! uploads and the server-side residual that backs compressed downlink
+//! delta broadcasts (the engine encodes `Δ = w_global − w_broadcast` each
+//! round; see `DESIGN.md`). It works in caller-owned buffers — the
+//! residual in place, the wire bytes and the decoded update in reused
+//! scratch — so a steady-state step allocates nothing, and the quantizers
+//! encode and decode in the same sweep
+//! ([`Compressor::encode_decode_into`]).
 //!
 //! Three lossy codecs ship alongside the lossless [`Identity`]:
 //!
@@ -39,9 +44,7 @@
 //! }
 //! ```
 
-use fedtrip_tensor::compress::{
-    dequantize_affine, pack_nibbles, quantize_affine, top_k_indices, unpack_nibbles,
-};
+use fedtrip_tensor::compress::{dequantize_affine, top_k_indices, unpack_nibbles, AffineGrid};
 use serde::{Deserialize, Serialize};
 
 /// A communication codec for flat f32 parameter updates.
@@ -67,6 +70,18 @@ pub trait Compressor: Send + Sync {
     /// # Panics
     /// Panics when `bytes` is not a valid encoding for length `n`.
     fn decode(&self, bytes: &[u8], n: usize) -> Vec<f32>;
+
+    /// `decode(encode(x))` into caller-owned buffers: the wire bytes
+    /// replace `wire`'s contents and the reconstruction fills `decoded`.
+    /// Codecs override it to do both in one sweep without allocating; the
+    /// results must equal the default's bit for bit.
+    ///
+    /// # Panics
+    /// Panics when `decoded.len() != x.len()`.
+    fn encode_decode_into(&self, x: &[f32], wire: &mut Vec<u8>, decoded: &mut [f32]) {
+        *wire = self.encode(x);
+        decoded.copy_from_slice(&self.decode(wire, x.len()));
+    }
 
     /// `true` when the codec is the lossless identity — the executor skips
     /// the encode/decode round trip entirely, which keeps uncompressed runs
@@ -110,6 +125,16 @@ impl Compressor for Identity {
     }
 }
 
+/// Replace `wire` with a `len`-byte quantized payload: the grid's
+/// `(min, scale)` header, then a zeroed body for the codes, returned.
+fn start_payload<'w>(wire: &'w mut Vec<u8>, grid: &AffineGrid, len: usize) -> &'w mut [u8] {
+    wire.clear();
+    wire.extend_from_slice(&grid.min.to_le_bytes());
+    wire.extend_from_slice(&grid.scale.to_le_bytes());
+    wire.resize(len, 0);
+    &mut wire[8..]
+}
+
 /// Read the `(min, scale)` header off a quantized payload.
 fn read_header(bytes: &[u8]) -> (f32, f32) {
     let min = f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
@@ -133,11 +158,12 @@ impl Compressor for QuantizeQ8 {
     }
 
     fn encode(&self, x: &[f32]) -> Vec<u8> {
-        let (min, scale, codes) = quantize_affine(x, 255);
-        let mut out = Vec::with_capacity(8 + codes.len());
-        out.extend_from_slice(&min.to_le_bytes());
-        out.extend_from_slice(&scale.to_le_bytes());
-        out.extend_from_slice(&codes);
+        let grid = AffineGrid::fit(x, 255);
+        let mut out = Vec::new();
+        let body = start_payload(&mut out, &grid, self.encoded_len(x.len()));
+        for (b, &v) in body.iter_mut().zip(x) {
+            *b = grid.code(v);
+        }
         out
     }
 
@@ -145,6 +171,16 @@ impl Compressor for QuantizeQ8 {
         assert_eq!(bytes.len(), 8 + n, "q8 payload length mismatch");
         let (min, scale) = read_header(bytes);
         dequantize_affine(&bytes[8..], min, scale)
+    }
+
+    fn encode_decode_into(&self, x: &[f32], wire: &mut Vec<u8>, decoded: &mut [f32]) {
+        assert_eq!(decoded.len(), x.len(), "q8 decode buffer length mismatch");
+        let grid = AffineGrid::fit(x, 255);
+        let body = start_payload(wire, &grid, self.encoded_len(x.len()));
+        for ((b, d), &v) in body.iter_mut().zip(decoded.iter_mut()).zip(x) {
+            *b = grid.code(v);
+            *d = grid.value(*b);
+        }
     }
 }
 
@@ -164,11 +200,13 @@ impl Compressor for QuantizeQ4 {
     }
 
     fn encode(&self, x: &[f32]) -> Vec<u8> {
-        let (min, scale, codes) = quantize_affine(x, 15);
-        let mut out = Vec::with_capacity(self.encoded_len(x.len()));
-        out.extend_from_slice(&min.to_le_bytes());
-        out.extend_from_slice(&scale.to_le_bytes());
-        out.extend_from_slice(&pack_nibbles(&codes));
+        let mut out = Vec::new();
+        let grid = AffineGrid::fit(x, 15);
+        let body = start_payload(&mut out, &grid, self.encoded_len(x.len()));
+        for (b, pair) in body.iter_mut().zip(x.chunks(2)) {
+            let hi = pair.get(1).map_or(0, |&v| grid.code(v));
+            *b = grid.code(pair[0]) | (hi << 4);
+        }
         out
     }
 
@@ -180,6 +218,27 @@ impl Compressor for QuantizeQ4 {
         );
         let (min, scale) = read_header(bytes);
         dequantize_affine(&unpack_nibbles(&bytes[8..], n), min, scale)
+    }
+
+    fn encode_decode_into(&self, x: &[f32], wire: &mut Vec<u8>, decoded: &mut [f32]) {
+        assert_eq!(decoded.len(), x.len(), "q4 decode buffer length mismatch");
+        let grid = AffineGrid::fit(x, 15);
+        let body = start_payload(wire, &grid, self.encoded_len(x.len()));
+        let pairs = x.chunks_exact(2);
+        let last = pairs.remainder().first();
+        let mut out = decoded.chunks_exact_mut(2);
+        for ((b, d), v) in body.iter_mut().zip(out.by_ref()).zip(pairs) {
+            let (lo, hi) = (grid.code(v[0]), grid.code(v[1]));
+            *b = lo | (hi << 4);
+            d[0] = grid.value(lo);
+            d[1] = grid.value(hi);
+        }
+        if let (Some(&v), Some(d), Some(b)) =
+            (last, out.into_remainder().first_mut(), body.last_mut())
+        {
+            *b = grid.code(v);
+            *d = grid.value(*b);
+        }
     }
 }
 
@@ -218,6 +277,18 @@ impl TopK {
         }
         (((n as f64) * self.fraction as f64).ceil() as usize).clamp(1, n)
     }
+
+    /// Replace `wire` with the `(index, value)` pairs of the kept
+    /// coordinates; returns their indices.
+    fn encode_pairs(&self, x: &[f32], wire: &mut Vec<u8>) -> Vec<u32> {
+        let idx = top_k_indices(x, self.k_for(x.len()));
+        wire.clear();
+        for &i in &idx {
+            wire.extend_from_slice(&i.to_le_bytes());
+            wire.extend_from_slice(&x[i as usize].to_le_bytes());
+        }
+        idx
+    }
 }
 
 impl Compressor for TopK {
@@ -230,13 +301,8 @@ impl Compressor for TopK {
     }
 
     fn encode(&self, x: &[f32]) -> Vec<u8> {
-        let k = self.k_for(x.len());
-        let idx = top_k_indices(x, k);
-        let mut out = Vec::with_capacity(8 * idx.len());
-        for &i in &idx {
-            out.extend_from_slice(&i.to_le_bytes());
-            out.extend_from_slice(&x[i as usize].to_le_bytes());
-        }
+        let mut out = Vec::with_capacity(self.encoded_len(x.len()));
+        self.encode_pairs(x, &mut out);
         out
     }
 
@@ -254,6 +320,23 @@ impl Compressor for TopK {
             out[i] = v;
         }
         out
+    }
+
+    fn encode_decode_into(&self, x: &[f32], wire: &mut Vec<u8>, decoded: &mut [f32]) {
+        assert_eq!(
+            decoded.len(),
+            x.len(),
+            "top-k decode buffer length mismatch"
+        );
+        let idx = top_k_indices(x, self.k_for(x.len()));
+        wire.clear();
+        decoded.fill(0.0);
+        for &i in &idx {
+            let v = x[i as usize];
+            wire.extend_from_slice(&i.to_le_bytes());
+            wire.extend_from_slice(&v.to_le_bytes());
+            decoded[i as usize] = v;
+        }
     }
 }
 
@@ -306,38 +389,65 @@ impl CompressionKind {
     }
 }
 
-/// One client-side error-feedback step around a codec.
+/// One error-feedback round trip around a codec, in caller-owned buffers.
 ///
-/// Adds the carried residual to the raw update, encodes/decodes the sum,
-/// and returns `(decoded, wire_bytes)` while storing the new residual
-/// (`compensated - decoded`) back into `residual`. With a `None` residual
-/// the carry starts at zero. The decoded vector is exactly what the server
-/// will see; the residual is exactly what it won't (yet).
+/// Adds the carried residual to `update` (with a `None` residual the carry
+/// starts at zero), encodes the sum into `wire` and fills `decoded` with
+/// what the receiver reconstructs, then stores the new residual
+/// (`compensated - decoded`) back into `residual`. The compensated update
+/// is built in the residual's own `Vec`, so only a participant's first
+/// step allocates. `decoded` is exactly what the receiver will see; the
+/// residual is exactly what it won't (yet). With `feedback` off the update
+/// is coded as is and `residual` is untouched.
+///
+/// # Panics
+/// Panics when `decoded.len() != update.len()`.
+pub fn error_feedback_into(
+    codec: &dyn Compressor,
+    update: &[f32],
+    residual: &mut Option<Vec<f32>>,
+    feedback: bool,
+    wire: &mut Vec<u8>,
+    decoded: &mut [f32],
+) {
+    assert_eq!(decoded.len(), update.len(), "decode buffer length mismatch");
+    let compensated: &mut Vec<f32> = match residual {
+        Some(r) if feedback => {
+            debug_assert_eq!(r.len(), update.len(), "residual length mismatch");
+            for (rv, &u) in r.iter_mut().zip(update) {
+                *rv += u;
+            }
+            r
+        }
+        None if feedback => residual.insert(update.to_vec()),
+        _ => {
+            codec.encode_decode_into(update, wire, decoded);
+            debug_assert_eq!(wire.len(), codec.encoded_len(update.len()));
+            return;
+        }
+    };
+    codec.encode_decode_into(compensated, wire, decoded);
+    debug_assert_eq!(
+        wire.len(),
+        codec.encoded_len(update.len()),
+        "codec byte accounting violated"
+    );
+    for (rv, &d) in compensated.iter_mut().zip(decoded.iter()) {
+        *rv -= d;
+    }
+}
+
+/// [`error_feedback_into`] with freshly allocated buffers: returns
+/// `(decoded, wire_bytes)`.
 pub fn error_feedback_step(
     codec: &dyn Compressor,
     update: &[f32],
     residual: &mut Option<Vec<f32>>,
     feedback: bool,
 ) -> (Vec<f32>, Vec<u8>) {
-    let mut compensated = update.to_vec();
-    if feedback {
-        if let Some(r) = residual.as_ref() {
-            debug_assert_eq!(r.len(), compensated.len(), "residual length mismatch");
-            fedtrip_tensor::vecops::axpy(&mut compensated, 1.0, r);
-        }
-    }
-    let wire = codec.encode(&compensated);
-    debug_assert_eq!(
-        wire.len(),
-        codec.encoded_len(compensated.len()),
-        "codec byte accounting violated"
-    );
-    let decoded = codec.decode(&wire, compensated.len());
-    if feedback {
-        let mut r = compensated;
-        fedtrip_tensor::vecops::axpy(&mut r, -1.0, &decoded);
-        *residual = Some(r);
-    }
+    let mut wire = Vec::new();
+    let mut decoded = vec![0.0; update.len()];
+    error_feedback_into(codec, update, residual, feedback, &mut wire, &mut decoded);
     (decoded, wire)
 }
 
@@ -347,6 +457,194 @@ mod tests {
 
     fn sample(n: usize) -> Vec<f32> {
         (0..n).map(|i| ((i as f32) * 0.73).sin() * 2.5).collect()
+    }
+
+    use fedtrip_tensor::rng::Prng;
+
+    /// The allocate-everything step [`error_feedback_into`] replaced, over
+    /// `decode(encode(x))`: the bit-identity oracle for the fused core.
+    fn reference_step(
+        codec: &dyn Compressor,
+        update: &[f32],
+        residual: &mut Option<Vec<f32>>,
+        feedback: bool,
+    ) -> (Vec<f32>, Vec<u8>) {
+        let mut compensated = update.to_vec();
+        if feedback {
+            if let Some(r) = residual.as_ref() {
+                fedtrip_tensor::vecops::axpy(&mut compensated, 1.0, r);
+            }
+        }
+        let wire = codec.encode(&compensated);
+        let decoded = codec.decode(&wire, compensated.len());
+        if feedback {
+            let mut r = compensated;
+            fedtrip_tensor::vecops::axpy(&mut r, -1.0, &decoded);
+            *residual = Some(r);
+        }
+        (decoded, wire)
+    }
+
+    /// Bit equality, except that any NaN equals any NaN (arithmetic NaN
+    /// payloads are unspecified in Rust).
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    /// Mostly normal draws, with ±0, subnormals and the odd non-finite.
+    fn edgy(rng: &mut Prng) -> f32 {
+        const SPECIAL: [f32; 8] = [
+            0.0,
+            -0.0,
+            1e-40,
+            -1e-41,
+            0.49999997,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        match rng.below(40) {
+            0..=3 => SPECIAL[rng.below(5)],
+            4 => SPECIAL[5 + rng.below(3)],
+            _ => rng.normal(),
+        }
+    }
+
+    fn all_codecs() -> Vec<Box<dyn Compressor>> {
+        vec![
+            Box::new(Identity),
+            Box::new(QuantizeQ8),
+            Box::new(QuantizeQ4),
+            Box::new(TopK::new(0.1)),
+            Box::new(TopK::new(1.0)),
+        ]
+    }
+
+    #[test]
+    fn fused_round_trip_matches_the_allocating_oracle_bitwise() {
+        let mut rng = Prng::seed_from_u64(2023);
+        for codec in all_codecs() {
+            // n = 0 (top-k keeps k = 0), n = 1, odd n through q4 packing
+            for n in [0usize, 1, 2, 3, 7, 8, 9, 33, 258, 1001] {
+                for feedback in [true, false] {
+                    let (mut fused, mut oracle) = (None, None);
+                    // stale scratch of the wrong size must not leak through
+                    let mut wire = vec![0xAB; 5];
+                    let mut decoded = vec![f32::NAN; n];
+                    // five steps, so the residual carries across rounds
+                    for step in 0..5 {
+                        let finite = step % 2 == 0;
+                        let update: Vec<f32> = (0..n)
+                            .map(|_| edgy(&mut rng))
+                            .map(|v| if finite && !v.is_finite() { 1.0 } else { v })
+                            .collect();
+                        let (want, want_wire) =
+                            reference_step(codec.as_ref(), &update, &mut oracle, feedback);
+                        error_feedback_into(
+                            codec.as_ref(),
+                            &update,
+                            &mut fused,
+                            feedback,
+                            &mut wire,
+                            &mut decoded,
+                        );
+                        let what =
+                            format!("{} n={n} feedback={feedback} step={step}", codec.name());
+                        assert_eq!(wire, want_wire, "{what}: wire");
+                        assert_eq!(wire.len(), codec.encoded_len(n), "{what}: length");
+                        assert!(same_bits(&decoded, &want), "{what}: decoded");
+                        match (&fused, &oracle) {
+                            (Some(f), Some(o)) => assert!(same_bits(f, o), "{what}: residual"),
+                            (None, None) => assert!(!feedback, "{what}: no residual"),
+                            _ => panic!("{what}: residual presence differs"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_extreme_keeps_its_sign_in_the_wire_header() {
+        for (x, negative) in [
+            (vec![-0.0f32, 0.0, 1.0, 2.0], true),
+            (vec![0.0f32, -0.0, 1.0, 2.0], false),
+            (
+                vec![3.0f32, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, -0.0, 0.0],
+                true,
+            ),
+        ] {
+            for codec in [&QuantizeQ8 as &dyn Compressor, &QuantizeQ4] {
+                let wire = codec.encode(&x);
+                let min = f32::from_le_bytes([wire[0], wire[1], wire[2], wire[3]]);
+                assert_eq!(min, 0.0);
+                assert_eq!(
+                    min.is_sign_negative(),
+                    negative,
+                    "{} on {x:?}",
+                    codec.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn finite_update_spanning_more_than_f32_max_stays_finite() {
+        // at the parent `max - min` overflowed: scale = inf and every
+        // decoded value (and so the residual, for good) was NaN
+        let update = [-3e38f32, 1.0, 0.5, 3e38];
+        for codec in [&QuantizeQ8 as &dyn Compressor, &QuantizeQ4] {
+            let mut residual = None;
+            for step in 0..3 {
+                let (decoded, wire) = error_feedback_step(codec, &update, &mut residual, true);
+                let scale = f32::from_le_bytes([wire[4], wire[5], wire[6], wire[7]]);
+                assert!(
+                    scale.is_finite(),
+                    "{} step {step}: scale {scale:e}",
+                    codec.name()
+                );
+                let r = residual.as_deref().expect("feedback keeps a residual");
+                for (i, (&d, &e)) in decoded.iter().zip(r).enumerate() {
+                    assert!(
+                        d.is_finite() && e.is_finite(),
+                        "{} step {step} [{i}]",
+                        codec.name()
+                    );
+                    assert!(
+                        e.abs() <= scale / 2.0 * (1.0 + 1e-5),
+                        "{} step {step} [{i}]: |residual| {e:e} > half step {:e}",
+                        codec.name(),
+                        scale / 2.0
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn topk_sends_non_finite_coordinates_first() {
+        let x = [
+            1.0f32,
+            -f32::NAN,
+            0.25,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            4.0,
+            f32::INFINITY,
+            2.0,
+        ];
+        let c = TopK::new(0.5); // k = 4 of 8
+        let back = c.decode(&c.encode(&x), x.len());
+        for (i, (&b, &v)) in back.iter().zip(&x).enumerate() {
+            if v.is_finite() {
+                assert_eq!(b, 0.0, "[{i}] is finite and dropped");
+            } else {
+                assert_eq!(b.to_bits(), v.to_bits(), "[{i}] is sent verbatim");
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! metric.
 
 use crate::algorithms::{Algorithm, ClientStateStore};
-use crate::compression::{CompressionKind, Compressor};
+use crate::compression::{error_feedback_into, CompressionKind, Compressor};
 use crate::costs::CostModel;
 use crate::runtime::ClientExecutor;
 use crate::runtime::{
@@ -434,6 +434,9 @@ pub struct Simulation {
     /// Server-side error-feedback residual of the downlink codec:
     /// `e' = (delta + e) - decode(encode(delta + e))`.
     broadcast_residual: Option<Vec<f32>>,
+    /// Reused delta and wire buffers for the downlink round trip (scratch,
+    /// not state).
+    broadcast_scratch: (Vec<f32>, Vec<u8>),
     /// Broadcast sync epoch — bumped on every periodic resync; clients
     /// whose [`crate::algorithms::ClientState::sync_epoch`] lags receive an
     /// on-demand dense base before any delta (checkpointed).
@@ -549,6 +552,7 @@ impl Simulation {
             broadcast_view,
             broadcast_last,
             broadcast_residual: None,
+            broadcast_scratch: Default::default(),
             broadcast_epoch: 0,
             utility: UtilityTable::new(),
             participation: BTreeMap::new(),
@@ -850,14 +854,27 @@ impl Simulation {
                 self.broadcast_residual = None;
                 self.broadcast_epoch += 1;
             } else {
-                let delta = fedtrip_tensor::vecops::sub(&self.global, &self.broadcast_last);
-                let (decoded, _wire) = crate::compression::error_feedback_step(
+                // the decoded delta lands in `broadcast_last`, which is
+                // re-based on the global model right after
+                let (delta, wire) = &mut self.broadcast_scratch;
+                delta.clear();
+                delta.extend(
+                    self.global
+                        .iter()
+                        .zip(&self.broadcast_last)
+                        .map(|(g, l)| g - l),
+                );
+                error_feedback_into(
                     self.down_codec.as_ref(),
-                    &delta,
+                    delta,
                     &mut self.broadcast_residual,
                     true,
+                    wire,
+                    &mut self.broadcast_last,
                 );
-                fedtrip_tensor::vecops::axpy(&mut self.broadcast_view, 1.0, &decoded);
+                for (v, d) in self.broadcast_view.iter_mut().zip(&self.broadcast_last) {
+                    *v += d;
+                }
                 self.broadcast_last.clone_from(&self.global);
             }
         }

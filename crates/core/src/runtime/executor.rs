@@ -4,12 +4,11 @@
 //! independent) from a given global model. Outcomes are returned in the
 //! order the clients were passed in, and every client derives its own RNG
 //! stream from `(seed, round, client)`, so thread scheduling can never
-//! change results. This is the pre-runtime engine's round body, moved
-//! verbatim so both schedulers share one code path. The executor is also
-//! where the upload codec ([`crate::compression`]) bites: each outcome's
-//! parameters are encoded/decoded (with optional error feedback) before
-//! any scheduler sees them, so the server only ever aggregates what
-//! actually travelled the wire.
+//! change results. Both schedulers share this one code path. The executor
+//! is also where the upload codec ([`crate::compression`]) bites: each
+//! outcome's parameters are encoded/decoded (with optional error feedback)
+//! in place before any scheduler sees them, so the server only ever
+//! aggregates what actually travelled the wire.
 //!
 //! ```
 //! use fedtrip_core::algorithms::{AlgorithmKind, ClientStateStore, HyperParams};
@@ -62,11 +61,11 @@
 use crate::algorithms::{
     Algorithm, ClientData, ClientState, ClientStateStore, LocalContext, LocalOutcome,
 };
-use crate::compression::{error_feedback_step, Compressor};
+use crate::compression::{error_feedback_into, Compressor};
 use crate::engine::SimulationConfig;
 use fedtrip_data::partition::Partition;
 use fedtrip_data::synth::{SampleRef, SyntheticVision};
-use fedtrip_tensor::{vecops, Sequential};
+use fedtrip_tensor::Sequential;
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -147,6 +146,8 @@ impl ClientExecutor<'_> {
             .map(|group| {
                 let mut net = template.clone();
                 let mut outs = Vec::with_capacity(group.len());
+                // codec scratch, reused by every client in the group
+                let (mut delta, mut wire) = (Vec::new(), Vec::new());
                 for (client_id, state, shard) in group.iter_mut() {
                     net.set_params_flat(global);
                     let ctx = LocalContext {
@@ -183,6 +184,7 @@ impl ClientExecutor<'_> {
                             state,
                             compressor,
                             cfg.error_feedback,
+                            (&mut delta, &mut wire),
                         );
                     }
                     outs.push(outcome);
@@ -206,29 +208,39 @@ impl ClientExecutor<'_> {
 ///
 /// The codec works on the *update* `w_k - w_global` (updates are
 /// near-zero-centred, which is what makes affine quantization and top-k
-/// selection effective); the reconstructed parameters are
-/// `w_global + decode(encode(delta))`. With error feedback on, the part of
-/// the (residual-compensated) update the encoding dropped is stored back
-/// into [`ClientState::residual`] and rides this client's next
-/// participation. The client's own local state (`historical`, corrections)
-/// keeps the uncompressed model — only the server-bound copy is lossy.
-/// Auxiliary uploads (SCAFFOLD's control-variate delta, MimeLite's
-/// full-batch gradient) take the same codec without feedback.
+/// selection effective); the reconstructed parameters
+/// `w_global + decode(encode(delta))` overwrite `outcome.params` in place.
+/// With error feedback on, the part of the (residual-compensated) update
+/// the encoding dropped is stored back into [`ClientState::residual`] and
+/// rides this client's next participation. The client's own local state
+/// (`historical`, corrections) keeps the uncompressed model — only the
+/// server-bound copy is lossy. Auxiliary uploads (SCAFFOLD's
+/// control-variate delta, MimeLite's full-batch gradient) take the same
+/// codec without feedback. `scratch` holds the update and wire buffers,
+/// reused across calls.
 fn compress_outcome(
     outcome: &mut LocalOutcome,
     global: &[f32],
     state: &mut ClientState,
     compressor: &dyn Compressor,
     error_feedback: bool,
+    (delta, wire): (&mut Vec<f32>, &mut Vec<u8>),
 ) {
-    let delta = vecops::sub(&outcome.params, global);
-    let (decoded, _wire) =
-        error_feedback_step(compressor, &delta, &mut state.residual, error_feedback);
-    let mut params = global.to_vec();
-    vecops::axpy(&mut params, 1.0, &decoded);
-    outcome.params = params;
-    if let Some(aux) = outcome.aux.take() {
-        let wire = compressor.encode(&aux);
-        outcome.aux = Some(compressor.decode(&wire, aux.len()));
+    delta.clear();
+    delta.extend(outcome.params.iter().zip(global).map(|(&p, &g)| p - g));
+    error_feedback_into(
+        compressor,
+        delta,
+        &mut state.residual,
+        error_feedback,
+        wire,
+        &mut outcome.params,
+    );
+    for (p, &g) in outcome.params.iter_mut().zip(global) {
+        *p += g;
+    }
+    if let Some(aux) = outcome.aux.as_mut() {
+        delta.clone_from(aux);
+        compressor.encode_decode_into(delta, wire, aux);
     }
 }

@@ -182,37 +182,75 @@ impl Clone for Box<dyn Optimizer> {
     }
 }
 
-/// One fused plain-SGD sweep: `w -= lr * adj(i, w, g)`.
+/// One fused plain-SGD sweep: `w -= lr * adj(w, g, c)`.
 ///
-/// `adj` is monomorphized per adjustment variant so the inner loop carries
-/// no per-element branching on the adjustment kind.
+/// Each parameter block hands `adj` its `K` companion slices
+/// `[off..off + len]`, element by element alongside the block's parameters
+/// and gradients. `adj` is monomorphized per adjustment variant and every
+/// slice has the block's length, so the inner loop carries no branches
+/// and vectorises.
 #[inline]
-fn sgd_sweep<F: FnMut(usize, f32, f32) -> f32>(net: &mut Sequential, lr: f32, mut adj: F) {
+fn sgd_sweep<const K: usize>(
+    net: &mut Sequential,
+    lr: f32,
+    companions: [&[f32]; K],
+    adj: impl Fn(f32, f32, [f32; K]) -> f32,
+) {
     net.for_each_param_grad(&mut |off, p, g| {
-        for (i, (pv, &gv)) in p.iter_mut().zip(g.iter()).enumerate() {
-            let h = adj(off + i, *pv, gv);
-            *pv -= lr * h;
+        let len = p.len();
+        let g = &g[..len];
+        let c = companions.map(|s| &s[off..off + len]);
+        for i in 0..len {
+            p[i] -= lr * adj(p[i], g[i], c.map(|s| s[i]));
         }
     });
 }
 
-/// One fused momentum sweep: `v = m * v + adj(i, w, g); w -= lr * v`.
+/// One fused momentum sweep: `v = m * v + adj(w, g, c); w -= lr * v`,
+/// block-sliced like [`sgd_sweep`].
 #[inline]
-fn momentum_sweep<F: FnMut(usize, f32, f32) -> f32>(
+fn momentum_sweep<const K: usize>(
     net: &mut Sequential,
     lr: f32,
     momentum: f32,
     velocity: &mut [f32],
-    mut adj: F,
+    companions: [&[f32]; K],
+    adj: impl Fn(f32, f32, [f32; K]) -> f32,
 ) {
     net.for_each_param_grad(&mut |off, p, g| {
-        let v = &mut velocity[off..off + p.len()];
-        for (i, ((pv, &gv), vv)) in p.iter_mut().zip(g.iter()).zip(v.iter_mut()).enumerate() {
-            let h = adj(off + i, *pv, gv);
-            *vv = momentum * *vv + h;
-            *pv -= lr * *vv;
-        }
+        let len = p.len();
+        let c = companions.map(|s| &s[off..off + len]);
+        momentum_block(
+            p,
+            &g[..len],
+            &mut velocity[off..off + len],
+            c,
+            &|w, g, c| adj(w, g, c),
+            lr,
+            momentum,
+        );
     });
+}
+
+/// The body of [`momentum_sweep`] for one block. The velocity slice comes
+/// in as an argument, not through the sweep closure's captures, so the
+/// compiler knows it aliases neither the parameters nor the companions.
+#[inline]
+fn momentum_block<const K: usize>(
+    p: &mut [f32],
+    g: &[f32],
+    v: &mut [f32],
+    c: [&[f32]; K],
+    adj: &impl Fn(f32, f32, [f32; K]) -> f32,
+    lr: f32,
+    momentum: f32,
+) {
+    let len = p.len();
+    let (g, v) = (&g[..len], &mut v[..len]);
+    for i in 0..len {
+        v[i] = momentum * v[i] + adj(p[i], g[i], c.map(|s| s[i]));
+        p[i] -= lr * v[i];
+    }
 }
 
 /// Plain stochastic gradient descent: `w -= lr * h`.
@@ -234,9 +272,9 @@ impl Optimizer for Sgd {
         adjust.check_sizes(net.num_params());
         let lr = self.lr;
         match *adjust {
-            GradAdjust::None => sgd_sweep(net, lr, |_, _, g| g),
+            GradAdjust::None => sgd_sweep(net, lr, [], |_, g, []| g),
             GradAdjust::Prox { mu, anchor } => {
-                sgd_sweep(net, lr, |i, w, g| g + mu * (w - anchor[i]));
+                sgd_sweep(net, lr, [anchor], |w, g, [a]| g + mu * (w - a));
             }
             GradAdjust::Triplet {
                 mu,
@@ -244,8 +282,8 @@ impl Optimizer for Sgd {
                 global,
                 hist,
             } => {
-                sgd_sweep(net, lr, |i, w, g| {
-                    g + mu * ((w - global[i]) + xi * (hist[i] - w))
+                sgd_sweep(net, lr, [global, hist], |w, g, [gl, h]| {
+                    g + mu * ((w - gl) + xi * (h - w))
                 });
             }
             GradAdjust::DynReg {
@@ -253,15 +291,17 @@ impl Optimizer for Sgd {
                 lambda,
                 global,
             } => {
-                sgd_sweep(net, lr, |i, w, g| {
-                    g + (-lambda[i] + alpha * (w - global[i]))
+                sgd_sweep(net, lr, [lambda, global], |w, g, [l, gl]| {
+                    g + (-l + alpha * (w - gl))
                 });
             }
             GradAdjust::ControlVariates { c_server, c_client } => {
-                sgd_sweep(net, lr, |i, _, g| g + (c_server[i] - c_client[i]));
+                sgd_sweep(net, lr, [c_server, c_client], |_, g, [cs, cc]| {
+                    g + (cs - cc)
+                });
             }
             GradAdjust::Interp { beta, stat } => {
-                sgd_sweep(net, lr, |i, _, g| (1.0 - beta) * g + beta * stat[i]);
+                sgd_sweep(net, lr, [stat], |_, g, [st]| (1.0 - beta) * g + beta * st);
             }
         }
     }
@@ -313,9 +353,9 @@ impl Optimizer for SgdMomentum {
         let m = self.momentum;
         let vel = self.velocity.as_mut_slice();
         match *adjust {
-            GradAdjust::None => momentum_sweep(net, lr, m, vel, |_, _, g| g),
+            GradAdjust::None => momentum_sweep(net, lr, m, vel, [], |_, g, []| g),
             GradAdjust::Prox { mu, anchor } => {
-                momentum_sweep(net, lr, m, vel, |i, w, g| g + mu * (w - anchor[i]));
+                momentum_sweep(net, lr, m, vel, [anchor], |w, g, [a]| g + mu * (w - a));
             }
             GradAdjust::Triplet {
                 mu,
@@ -323,8 +363,8 @@ impl Optimizer for SgdMomentum {
                 global,
                 hist,
             } => {
-                momentum_sweep(net, lr, m, vel, |i, w, g| {
-                    g + mu * ((w - global[i]) + xi * (hist[i] - w))
+                momentum_sweep(net, lr, m, vel, [global, hist], |w, g, [gl, h]| {
+                    g + mu * ((w - gl) + xi * (h - w))
                 });
             }
             GradAdjust::DynReg {
@@ -332,15 +372,19 @@ impl Optimizer for SgdMomentum {
                 lambda,
                 global,
             } => {
-                momentum_sweep(net, lr, m, vel, |i, w, g| {
-                    g + (-lambda[i] + alpha * (w - global[i]))
+                momentum_sweep(net, lr, m, vel, [lambda, global], |w, g, [l, gl]| {
+                    g + (-l + alpha * (w - gl))
                 });
             }
             GradAdjust::ControlVariates { c_server, c_client } => {
-                momentum_sweep(net, lr, m, vel, |i, _, g| g + (c_server[i] - c_client[i]));
+                momentum_sweep(net, lr, m, vel, [c_server, c_client], |_, g, [cs, cc]| {
+                    g + (cs - cc)
+                });
             }
             GradAdjust::Interp { beta, stat } => {
-                momentum_sweep(net, lr, m, vel, |i, _, g| (1.0 - beta) * g + beta * stat[i]);
+                momentum_sweep(net, lr, m, vel, [stat], |_, g, [st]| {
+                    (1.0 - beta) * g + beta * st
+                });
             }
         }
     }
@@ -602,6 +646,149 @@ mod tests {
         });
 
         assert_eq!(net.params_flat(), reference.params_flat());
+    }
+
+    /// The per-index closure sweeps the block-sliced kernels replaced,
+    /// kept as the bit-identity oracle: every arm's f32 expression, in the
+    /// same order, fed through a flat index into the companion vectors.
+    fn reference_step(
+        net: &mut Sequential,
+        lr: f32,
+        momentum: Option<(f32, &mut [f32])>,
+        adjust: &GradAdjust<'_>,
+    ) {
+        let adj = |i: usize, w: f32, g: f32| match *adjust {
+            GradAdjust::None => g,
+            GradAdjust::Prox { mu, anchor } => g + mu * (w - anchor[i]),
+            GradAdjust::Triplet {
+                mu,
+                xi,
+                global,
+                hist,
+            } => g + mu * ((w - global[i]) + xi * (hist[i] - w)),
+            GradAdjust::DynReg {
+                alpha,
+                lambda,
+                global,
+            } => g + (-lambda[i] + alpha * (w - global[i])),
+            GradAdjust::ControlVariates { c_server, c_client } => g + (c_server[i] - c_client[i]),
+            GradAdjust::Interp { beta, stat } => (1.0 - beta) * g + beta * stat[i],
+        };
+        match momentum {
+            None => net.for_each_param_grad(&mut |off, p, g| {
+                for (i, (pv, &gv)) in p.iter_mut().zip(g.iter()).enumerate() {
+                    let h = adj(off + i, *pv, gv);
+                    *pv -= lr * h;
+                }
+            }),
+            Some((m, velocity)) => net.for_each_param_grad(&mut |off, p, g| {
+                let v = &mut velocity[off..off + p.len()];
+                for (i, ((pv, &gv), vv)) in p.iter_mut().zip(g.iter()).zip(v.iter_mut()).enumerate()
+                {
+                    let h = adj(off + i, *pv, gv);
+                    *vv = m * *vv + h;
+                    *pv -= lr * *vv;
+                }
+            }),
+        }
+    }
+
+    /// Mostly normal draws, with ±0, subnormals, huge values, ±inf and NaN
+    /// mixed in so the kernels are checked where IEEE rules bite.
+    fn edgy(rng: &mut Prng) -> f32 {
+        const SPECIAL: [f32; 10] = [
+            0.0,
+            -0.0,
+            1e-40,
+            -1e-40,
+            f32::MIN_POSITIVE,
+            3e38,
+            -3e38,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        if rng.below(8) == 0 {
+            SPECIAL[rng.below(SPECIAL.len())]
+        } else {
+            rng.normal()
+        }
+    }
+
+    /// Bit equality, except that any NaN equals any NaN: Rust leaves the
+    /// payload of a NaN produced by arithmetic unspecified, and vectorised
+    /// code may commute the operands of `+` and `*`.
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    #[test]
+    fn block_sweeps_match_the_index_closure_oracle_bitwise() {
+        for seed in 0..24u64 {
+            let mut rng = Prng::seed_from_u64(100 + seed);
+            // odd, uneven layer widths so blocks end off any vector width
+            let (a, b, c) = (1 + rng.below(9), 1 + rng.below(17), 1 + rng.below(5));
+            let mut net = Sequential::new(&[a])
+                .with(Dense::new(a, b, &mut rng))
+                .with(Dense::new(b, c, &mut rng));
+            let n = net.num_params();
+            let draw = |rng: &mut Prng| (0..n).map(|_| edgy(rng)).collect::<Vec<f32>>();
+            let w0 = draw(&mut rng);
+            let comp: Vec<Vec<f32>> = (0..2).map(|_| draw(&mut rng)).collect();
+            let grads: Vec<Vec<f32>> = (0..3).map(|_| draw(&mut rng)).collect();
+            let (k0, k1) = (&comp[0][..], &comp[1][..]);
+            let (mu, xi) = (edgy(&mut rng), 0.5 * rng.uniform());
+            let arms = [
+                GradAdjust::None,
+                GradAdjust::Prox { mu, anchor: k0 },
+                GradAdjust::Triplet {
+                    mu,
+                    xi,
+                    global: k0,
+                    hist: k1,
+                },
+                GradAdjust::DynReg {
+                    alpha: mu,
+                    lambda: k0,
+                    global: k1,
+                },
+                GradAdjust::ControlVariates {
+                    c_server: k0,
+                    c_client: k1,
+                },
+                GradAdjust::Interp { beta: xi, stat: k0 },
+            ];
+            for arm in &arms {
+                for momentum in [None, Some(0.9f32)] {
+                    net.set_params_flat(&w0);
+                    let mut reference = net.clone();
+                    let mut opt: Box<dyn Optimizer> = match momentum {
+                        None => Box::new(Sgd::new(0.05)),
+                        Some(m) => Box::new(SgdMomentum::new(0.05, m)),
+                    };
+                    let mut vel = vec![0.0f32; n];
+                    // three steps, so the momentum buffers carry state
+                    for g in &grads {
+                        net.set_grads_flat(g);
+                        reference.set_grads_flat(g);
+                        opt.step_adjusted(&mut net, arm);
+                        reference_step(
+                            &mut reference,
+                            0.05,
+                            momentum.map(|m| (m, vel.as_mut_slice())),
+                            arm,
+                        );
+                        assert!(
+                            same_bits(&net.params_flat(), &reference.params_flat()),
+                            "seed {seed}, {arm:?}, momentum {momentum:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
