@@ -572,8 +572,15 @@ mod tests {
         for (x, negative) in [
             (vec![-0.0f32, 0.0, 1.0, 2.0], true),
             (vec![0.0f32, -0.0, 1.0, 2.0], false),
+            // a later `+0` in a lower vector lane than the first `-0`
             (
-                vec![3.0f32, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, -0.0, 0.0],
+                (0..16)
+                    .map(|i| match i {
+                        1 => -0.0,
+                        8 => 0.0,
+                        _ => 3.0,
+                    })
+                    .collect(),
                 true,
             ),
         ] {

@@ -383,6 +383,21 @@ mod tests {
         }
     }
 
+    /// `+0` at index 1 (lane 1) before `-0` at index 8 (lane 0).
+    const ZERO_MIN_IN_LANE_1: [f32; 16] = {
+        let mut x = [5.0; 16];
+        x[1] = 0.0;
+        x[8] = -0.0;
+        x
+    };
+    /// `-0` at index 2 (lane 2) before `+0` at index 9 (lane 1).
+    const ZERO_MAX_IN_LANE_2: [f32; 16] = {
+        let mut x = [-5.0; 16];
+        x[2] = -0.0;
+        x[9] = 0.0;
+        x
+    };
+
     #[test]
     fn vector_quantizer_matches_the_oracle_on_named_edges() {
         let cases: [&[f32]; 12] = [
@@ -396,8 +411,8 @@ mod tests {
             // ±0 as the extremes, in different lanes and orders
             &[0.0, -0.0, 1.0],
             &[-0.0, 0.0, 1.0],
-            &[5.0, 0.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, -0.0, 5.0],
-            &[-5.0, -5.0, -0.0, -5.0, -5.0, -5.0, -5.0, -5.0, -5.0, 0.0],
+            &ZERO_MIN_IN_LANE_1,
+            &ZERO_MAX_IN_LANE_2,
             // subnormals only
             &[1e-45, -1e-40, 3e-39, 0.0, -1e-45],
             &[f32::NAN, 2.0, f32::NEG_INFINITY, 1.0],
@@ -410,12 +425,9 @@ mod tests {
         let (min, _, codes) = quantize_affine(&[0.0, 0.49999997, 0.5, 254.5, 255.0], 255);
         assert_eq!(min, 0.0);
         assert_eq!(codes, vec![0, 0, 1, 255, 255]);
-        assert!(minmax(&[5.0, 0.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, -0.0])
-            .0
-            .is_sign_positive());
-        assert!(minmax(&[5.0, -0.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 0.0])
-            .0
-            .is_sign_negative());
+        // the first zero wins even when a later one sits in a lower lane
+        assert!(minmax(&ZERO_MIN_IN_LANE_1).0.is_sign_positive());
+        assert!(minmax(&ZERO_MAX_IN_LANE_2).1.is_sign_negative());
     }
 
     #[test]
