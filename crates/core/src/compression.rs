@@ -328,14 +328,9 @@ impl Compressor for TopK {
             x.len(),
             "top-k decode buffer length mismatch"
         );
-        let idx = top_k_indices(x, self.k_for(x.len()));
-        wire.clear();
         decoded.fill(0.0);
-        for &i in &idx {
-            let v = x[i as usize];
-            wire.extend_from_slice(&i.to_le_bytes());
-            wire.extend_from_slice(&v.to_le_bytes());
-            decoded[i as usize] = v;
+        for i in self.encode_pairs(x, wire) {
+            decoded[i as usize] = x[i as usize];
         }
     }
 }
@@ -411,29 +406,28 @@ pub fn error_feedback_into(
     decoded: &mut [f32],
 ) {
     assert_eq!(decoded.len(), update.len(), "decode buffer length mismatch");
-    let compensated: &mut Vec<f32> = match residual {
+    let compensated = match residual {
         Some(r) if feedback => {
             debug_assert_eq!(r.len(), update.len(), "residual length mismatch");
             for (rv, &u) in r.iter_mut().zip(update) {
                 *rv += u;
             }
-            r
+            Some(r)
         }
-        None if feedback => residual.insert(update.to_vec()),
-        _ => {
-            codec.encode_decode_into(update, wire, decoded);
-            debug_assert_eq!(wire.len(), codec.encoded_len(update.len()));
-            return;
-        }
+        None if feedback => Some(residual.insert(update.to_vec())),
+        _ => None,
     };
-    codec.encode_decode_into(compensated, wire, decoded);
+    let x = compensated.as_deref().map_or(update, Vec::as_slice);
+    codec.encode_decode_into(x, wire, decoded);
     debug_assert_eq!(
         wire.len(),
         codec.encoded_len(update.len()),
         "codec byte accounting violated"
     );
-    for (rv, &d) in compensated.iter_mut().zip(decoded.iter()) {
-        *rv -= d;
+    if let Some(r) = compensated {
+        for (rv, &d) in r.iter_mut().zip(decoded.iter()) {
+            *rv -= d;
+        }
     }
 }
 
@@ -454,12 +448,11 @@ pub fn error_feedback_step(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedtrip_tensor::rng::Prng;
 
     fn sample(n: usize) -> Vec<f32> {
         (0..n).map(|i| ((i as f32) * 0.73).sin() * 2.5).collect()
     }
-
-    use fedtrip_tensor::rng::Prng;
 
     /// The allocate-everything step [`error_feedback_into`] replaced, over
     /// `decode(encode(x))`: the bit-identity oracle for the fused core.

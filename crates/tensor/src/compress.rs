@@ -4,9 +4,9 @@
 //! These are the O(|w|) building blocks the federated communication codecs
 //! (`fedtrip_core::compression`) are assembled from. Every per-element loop
 //! here is written to auto-vectorise — [`minmax`] keeps eight running
-//! lanes, and [`AffineGrid::code`] rounds with a truncate-and-compare
-//! instead of a libm `round()` call — so fitting, quantizing and
-//! reconstructing run at memory speed. Everything is deterministic — ties
+//! lanes, and [`AffineGrid::code`] rounds with a float add and an exact
+//! remainder test instead of a libm `round()` call — so fitting,
+//! quantizing and reconstructing run at memory speed. Everything is deterministic — ties
 //! in the top-k selection break by index — so codecs built on these
 //! kernels keep simulations bit-reproducible.
 //!
