@@ -44,7 +44,9 @@
 //! }
 //! ```
 
-use fedtrip_tensor::compress::{dequantize_affine, top_k_indices, unpack_nibbles, AffineGrid};
+use fedtrip_tensor::compress::{
+    dequantize_affine, pack_nibbles, quantize_affine, top_k_indices, unpack_nibbles, AffineGrid,
+};
 use serde::{Deserialize, Serialize};
 
 /// A communication codec for flat f32 parameter updates.
@@ -126,7 +128,8 @@ impl Compressor for Identity {
 }
 
 /// Replace `wire` with a `len`-byte quantized payload: the grid's
-/// `(min, scale)` header, then a zeroed body for the codes, returned.
+/// `(min, scale)` header (as [`QuantizeQ8::encode`] writes it), then a
+/// zeroed body for the codes, returned.
 fn start_payload<'w>(wire: &'w mut Vec<u8>, grid: &AffineGrid, len: usize) -> &'w mut [u8] {
     wire.clear();
     wire.extend_from_slice(&grid.min.to_le_bytes());
@@ -158,12 +161,11 @@ impl Compressor for QuantizeQ8 {
     }
 
     fn encode(&self, x: &[f32]) -> Vec<u8> {
-        let grid = AffineGrid::fit(x, 255);
-        let mut out = Vec::new();
-        let body = start_payload(&mut out, &grid, self.encoded_len(x.len()));
-        for (b, &v) in body.iter_mut().zip(x) {
-            *b = grid.code(v);
-        }
+        let (min, scale, codes) = quantize_affine(x, 255);
+        let mut out = Vec::with_capacity(8 + codes.len());
+        out.extend_from_slice(&min.to_le_bytes());
+        out.extend_from_slice(&scale.to_le_bytes());
+        out.extend_from_slice(&codes);
         out
     }
 
@@ -200,13 +202,11 @@ impl Compressor for QuantizeQ4 {
     }
 
     fn encode(&self, x: &[f32]) -> Vec<u8> {
-        let mut out = Vec::new();
-        let grid = AffineGrid::fit(x, 15);
-        let body = start_payload(&mut out, &grid, self.encoded_len(x.len()));
-        for (b, pair) in body.iter_mut().zip(x.chunks(2)) {
-            let hi = pair.get(1).map_or(0, |&v| grid.code(v));
-            *b = grid.code(pair[0]) | (hi << 4);
-        }
+        let (min, scale, codes) = quantize_affine(x, 15);
+        let mut out = Vec::with_capacity(self.encoded_len(x.len()));
+        out.extend_from_slice(&min.to_le_bytes());
+        out.extend_from_slice(&scale.to_le_bytes());
+        out.extend_from_slice(&pack_nibbles(&codes));
         out
     }
 
