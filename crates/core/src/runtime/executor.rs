@@ -216,8 +216,8 @@ impl ClientExecutor<'_> {
 /// (`historical`, corrections) keeps the uncompressed model — only the
 /// server-bound copy is lossy. Auxiliary uploads (SCAFFOLD's
 /// control-variate delta, MimeLite's full-batch gradient) take the same
-/// codec without feedback. `scratch` holds the update and wire buffers,
-/// reused across calls.
+/// codec without feedback. `delta` and `wire` are scratch buffers, reused
+/// across calls.
 fn compress_outcome(
     outcome: &mut LocalOutcome,
     global: &[f32],
