@@ -318,7 +318,7 @@ fn main() {
                 "resuming {} on {} from round {}",
                 ckpt.algorithm.name(),
                 ckpt.config.dataset.name(),
-                ckpt.round
+                ckpt.state.records.len()
             );
             spec.algorithm = ckpt.algorithm;
             spec.hyper = ckpt.hyper;

@@ -159,51 +159,16 @@ impl ClientStateStore {
         }
     }
 
-    /// Rebuild a store from `(client, state)` entries (checkpoint restore).
-    ///
-    /// Vacant states are dropped rather than stored (they are semantically
-    /// identical to absence). Fails on out-of-range client ids, duplicate
-    /// entries, or a model-sized vector (`historical`, `correction`,
-    /// `residual`) whose length is not `n_params` instead of panicking — a
-    /// config/checkpoint mismatch must surface as a clean error, not as a
-    /// size assert inside the next round's training workers.
-    pub fn from_entries(
-        n_clients: usize,
-        n_params: usize,
-        entries: impl IntoIterator<Item = (usize, ClientState)>,
-    ) -> Result<Self, String> {
-        let mut store = ClientStateStore::new(n_clients);
-        for (client, state) in entries {
-            if client >= n_clients {
-                return Err(format!(
-                    "client state entry {client} out of range for a federation of {n_clients}"
-                ));
-            }
-            for (name, v) in [
-                ("historical", &state.historical),
-                ("correction", &state.correction),
-                ("residual", &state.residual),
-            ] {
-                if let Some(v) = v.as_ref().filter(|v| v.len() != n_params) {
-                    return Err(format!(
-                        "client {client} {name} holds {} values but the model has {n_params}",
-                        v.len()
-                    ));
-                }
-            }
-            if state.is_vacant() {
-                continue;
-            }
-            if store.entries.insert(client, state).is_some() {
-                return Err(format!("duplicate client state entry {client}"));
-            }
-        }
-        Ok(store)
-    }
-
     /// Federation size (the *capacity*, not the resident entry count).
     pub fn n_clients(&self) -> usize {
         self.n_clients
+    }
+
+    /// Bind the store to a federation of `n_clients`. A deserialized store
+    /// knows only its entries; checkpoint restore binds it to the
+    /// configuration once every entry id has been validated against it.
+    pub fn set_n_clients(&mut self, n_clients: usize) {
+        self.n_clients = n_clients;
     }
 
     /// Number of resident entries (clients that have ever participated).
@@ -255,6 +220,11 @@ impl ClientStateStore {
         self.entries.iter().map(|(&c, s)| (c, s))
     }
 
+    /// Resident entries in ascending client order, mutably.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut ClientState)> {
+        self.entries.iter_mut().map(|(&c, s)| (c, s))
+    }
+
     /// Force every client resident (with default states where absent).
     ///
     /// Semantically a no-op — a vacant resident entry behaves exactly like
@@ -263,6 +233,18 @@ impl ClientStateStore {
     pub fn prefill_dense(&mut self) {
         for c in 0..self.n_clients {
             self.entries.entry(c).or_default();
+        }
+    }
+}
+
+/// A store holding `entries` but bound to no federation yet (`n_clients`
+/// 0) — the deserialized form, which checkpoint restore binds with
+/// [`ClientStateStore::set_n_clients`].
+impl FromIterator<(usize, ClientState)> for ClientStateStore {
+    fn from_iter<I: IntoIterator<Item = (usize, ClientState)>>(entries: I) -> Self {
+        ClientStateStore {
+            n_clients: 0,
+            entries: entries.into_iter().collect(),
         }
     }
 }

@@ -1,16 +1,16 @@
 //! Simulation checkpointing: pause a federated run, serialize everything
-//! that defines its future (global model, per-client states, server-side
-//! algorithm state, round records), and resume bit-identically later.
+//! that defines its future — the [`SimState`] a round mutates plus the
+//! method's server-side state — and resume bit-identically later.
 //!
 //! Because every random stream in the engine is derived from
 //! `(seed, domain tags, round, client)` rather than from mutable generator
 //! state, a resumed run needs no RNG snapshot: replaying round `t+1` after a
 //! restore produces exactly the bytes the uninterrupted run would have.
 
-use crate::algorithms::{AlgorithmKind, ClientState, HyperParams};
-use crate::engine::{RestoreError, RoundRecord, Simulation, SimulationConfig};
-use crate::runtime::SchedulerState;
-use serde::{Deserialize, Serialize};
+use crate::algorithms::{Algorithm, AlgorithmKind, ClientState, ClientStateStore, HyperParams};
+use crate::engine::{Env, RestoreError, RoundRecord, Simulation, SimulationConfig};
+use crate::runtime::{EdgeTier, SchedulerState, UtilityTable};
+use serde::{Deserialize, Serialize, Value};
 use std::fs;
 use std::io;
 use std::mem;
@@ -21,9 +21,10 @@ use std::path::{Path, PathBuf};
 /// tensor slot in canonical order: a `u64` element count and that many
 /// `f32`s, all little-endian. [`Checkpoint::load`] rejects every other
 /// version, or none, by name before deserializing the rest.
-pub const CHECKPOINT_VERSION: u32 = 8;
+pub const CHECKPOINT_VERSION: u32 = 9;
 
-/// One sparse client-state entry of a snapshot.
+/// One sparse client-state entry: the serialized form of a
+/// [`ClientStateStore`] is these, in ascending client order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClientEntry {
     /// Client id within the federation.
@@ -32,17 +33,227 @@ pub struct ClientEntry {
     pub state: ClientState,
 }
 
-/// One utility-table entry of a snapshot: the most recent mean
-/// training loss reported by a client, the statistical-utility half of
-/// the Oort selection score. Stored sparse and in ascending client order
-/// (the table is a `BTreeMap` server-side), so serialization is
-/// deterministic.
+/// One utility-table entry: the most recent mean training loss reported by
+/// a client, the statistical-utility half of the Oort selection score. The
+/// serialized form of a [`UtilityTable`] is these, in ascending client
+/// order.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct UtilityEntry {
     /// Client id within the federation.
     pub client: usize,
     /// Last observed mean training loss for that client.
     pub loss: f64,
+}
+
+/// Everything a round mutates — the run state of a [`Simulation`], saved
+/// whole by a checkpoint. What a run derives from its configuration lives
+/// in the [`Env`] instead, and the round counter, cumulative bytes and
+/// FLOPs and the root clock are read from the last record.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct SimState {
+    /// Global model parameters.
+    pub global: Vec<f32>,
+    /// Per-client persistent state — sparse: only clients that have
+    /// participated carry an entry.
+    pub states: ClientStateStore,
+    /// Round records so far.
+    pub records: Vec<RoundRecord>,
+    /// The edge tier's per-edge clocks.
+    pub edges: EdgeTier,
+    /// Scheduler position: fold counter plus in-flight / buffered jobs
+    /// (empty under the synchronous barrier).
+    pub scheduler: SchedulerState,
+    /// Oort utility table — last observed mean loss per client. The
+    /// availability traces need no state: they are pure functions of
+    /// `(seed, client, round)`.
+    pub utility: UtilityTable,
+    /// The clients' reconstructed view of the global model under delta
+    /// broadcasts; empty when the downlink is dense. Invariant (pinned by
+    /// `tests/downlink.rs`): `broadcast_view + broadcast_residual ==
+    /// broadcast_last` after every broadcast.
+    pub broadcast_view: Vec<f32>,
+    /// Global parameters at the last broadcast — the delta reference;
+    /// empty when the downlink is dense.
+    pub broadcast_last: Vec<f32>,
+    /// Server-side error-feedback residual of the downlink codec:
+    /// `e' = (delta + e) - decode(encode(delta + e))`.
+    pub broadcast_residual: Option<Vec<f32>>,
+    /// Broadcast sync epoch — bumped on every periodic resync; clients
+    /// whose [`ClientState::sync_epoch`] lags receive an on-demand dense
+    /// base before any delta.
+    pub broadcast_epoch: u64,
+}
+
+impl SimState {
+    /// The state before round 1: the template's parameters as the global
+    /// model, no client resident, every clock at zero. Delta broadcasts
+    /// start from a shared base — view and reference both equal the initial
+    /// global model; dense downlinks never touch either.
+    pub fn new(env: &Env) -> SimState {
+        let global = env.template.params_flat();
+        let base = if env.down_codec.is_identity() {
+            Vec::new()
+        } else {
+            global.clone()
+        };
+        SimState {
+            broadcast_view: base.clone(),
+            broadcast_last: base,
+            global,
+            states: ClientStateStore::new(env.cfg.n_clients),
+            records: Vec::new(),
+            edges: EdgeTier::new(env.cfg.edges),
+            scheduler: SchedulerState::default(),
+            utility: UtilityTable::new(),
+            broadcast_residual: None,
+            broadcast_epoch: 0,
+        }
+    }
+
+    /// Check that this state fits `env`, and that `server_state` has the
+    /// shape `algorithm` (fresh from `on_init`) keeps: every client id in
+    /// range, every vector the length the model and the downlink need, one
+    /// clock per edge. A snapshot that does not fit — shrunken federation,
+    /// another model, hand-edited header — returns a clean
+    /// [`RestoreError`] here instead of panicking rounds later.
+    pub fn validate(
+        &self,
+        env: &Env,
+        algorithm: &dyn Algorithm,
+        server_state: &[Vec<f32>],
+    ) -> Result<(), RestoreError> {
+        let (n_clients, n_params) = (env.cfg.n_clients, env.n_params());
+        let in_range = |what: &str, client: usize| {
+            if client < n_clients {
+                Ok(())
+            } else {
+                Err(RestoreError::InvalidClientStates(format!(
+                    "{what} {client} out of range for a federation of {n_clients}"
+                )))
+            }
+        };
+        let model_sized = |v: &Vec<f32>| {
+            if v.len() == n_params {
+                Ok(())
+            } else {
+                Err(RestoreError::GlobalSizeMismatch {
+                    snapshot: v.len(),
+                    expected: n_params,
+                })
+            }
+        };
+        let jobs = &self.scheduler;
+        for job in jobs.in_flight.iter().chain(&jobs.buffer) {
+            in_range("scheduler job for client", job.client)?;
+            for v in std::iter::once(&job.outcome.params).chain(&job.outcome.aux) {
+                model_sized(v)?;
+            }
+        }
+        for (client, _) in self.utility.iter() {
+            in_range("utility entry for client", client)?;
+        }
+        let shape = |s: &[Vec<f32>]| s.iter().map(Vec::len).collect::<Vec<_>>();
+        let (snapshot, expected) = (shape(server_state), shape(&algorithm.server_state()));
+        if snapshot != expected {
+            return Err(RestoreError::ServerStateMismatch { snapshot, expected });
+        }
+        model_sized(&self.global)?;
+        for (client, state) in self.states.iter() {
+            in_range("client state entry", client)?;
+            for (name, v) in [
+                ("historical", &state.historical),
+                ("correction", &state.correction),
+                ("residual", &state.residual),
+            ] {
+                if let Some(v) = v.as_ref().filter(|v| v.len() != n_params) {
+                    return Err(RestoreError::InvalidClientStates(format!(
+                        "client {client} {name} holds {} values but the model has {n_params}",
+                        v.len()
+                    )));
+                }
+            }
+        }
+        if self.edges.n_edges() != env.cfg.edges {
+            return Err(RestoreError::EdgeClocksMismatch {
+                snapshot: self.edges.n_edges(),
+                expected: env.cfg.edges,
+            });
+        }
+        let expected = if env.down_codec.is_identity() {
+            0
+        } else {
+            n_params
+        };
+        for v in [Some(&self.broadcast_view), Some(&self.broadcast_last)]
+            .into_iter()
+            .chain([self.broadcast_residual.as_ref()])
+            .flatten()
+        {
+            if v.len() != expected {
+                return Err(RestoreError::BroadcastMismatch {
+                    snapshot: v.len(),
+                    expected,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Reject an entry list whose client ids are not strictly ascending: the
+/// tables serialize that way, so anything else was edited, and a duplicate
+/// would silently shadow its twin.
+fn ascending<T>(entries: &[T], client: impl Fn(&T) -> usize) -> Result<(), serde::Error> {
+    match entries.windows(2).find(|w| client(&w[0]) >= client(&w[1])) {
+        Some(w) => Err(serde::Error::new(format!(
+            "entry for client {} out of ascending order",
+            client(&w[1])
+        ))),
+        None => Ok(()),
+    }
+}
+
+impl Serialize for ClientStateStore {
+    fn to_value(&self) -> Value {
+        let entries: Vec<ClientEntry> = self
+            .iter()
+            .map(|(client, state)| ClientEntry {
+                client,
+                state: state.clone(),
+            })
+            .collect();
+        entries.to_value()
+    }
+}
+
+impl Deserialize for ClientStateStore {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let entries = Vec::<ClientEntry>::from_value(v)?;
+        ascending(&entries, |e| e.client)?;
+        // unbound until `Checkpoint::restore` binds it to the configured
+        // federation
+        Ok(entries.into_iter().map(|e| (e.client, e.state)).collect())
+    }
+}
+
+impl Serialize for UtilityTable {
+    fn to_value(&self) -> Value {
+        let entries: Vec<UtilityEntry> = self
+            .iter()
+            .map(|(client, loss)| UtilityEntry { client, loss })
+            .collect();
+        entries.to_value()
+    }
+}
+
+impl Deserialize for UtilityTable {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let entries = Vec::<UtilityEntry>::from_value(v)?;
+        ascending(&entries, |e| e.client)?;
+        Ok(UtilityTable::from_pairs(
+            entries.into_iter().map(|e| (e.client, e.loss)),
+        ))
+    }
 }
 
 /// A serialized simulation snapshot.
@@ -56,48 +267,11 @@ pub struct Checkpoint {
     pub algorithm: AlgorithmKind,
     /// Its hyper-parameters.
     pub hyper: HyperParams,
-    /// Rounds completed.
-    pub round: usize,
-    /// Global model parameters.
-    pub global: Vec<f32>,
-    /// Per-client persistent state — sparse: only clients that have
-    /// participated carry an entry, in ascending client order.
-    pub states: Vec<ClientEntry>,
-    /// Server-side algorithm state (momentum buffers etc.).
+    /// Server-side algorithm state (momentum buffers etc.), kept by the
+    /// method itself.
     pub server_state: Vec<Vec<f32>>,
-    /// Round records so far.
-    pub records: Vec<RoundRecord>,
-    /// Root virtual-clock instant at capture (can sit past the last
-    /// record's fold time while semi-async arrivals were being collected).
-    pub clock: f64,
-    /// Per-edge virtual-clock instants at capture, one per configured edge
-    /// aggregator in edge order (`config.edges` entries; a single entry
-    /// equal to `clock` for the flat `edges = 1` federation).
-    pub edge_clocks: Vec<f64>,
-    /// Scheduler position: fold counter plus in-flight / buffered jobs
-    /// (empty for the stateless synchronous scheduler).
-    pub scheduler: SchedulerState,
-    /// Server-side utility table — last observed mean loss per client,
-    /// sparse, ascending client order. Selection under the Oort strategy
-    /// depends on it, so it must survive the round trip for a resumed run
-    /// to stay bit-identical. The availability traces themselves need no
-    /// snapshot state: they are pure functions of `(seed, client, round)`,
-    /// so `round` above is the whole availability cursor.
-    pub utility: Vec<UtilityEntry>,
-    /// Clients' reconstructed view of the global model under delta
-    /// broadcasts — empty when the downlink is dense (nothing to carry;
-    /// restore re-anchors it to the global model if a delta-downlink
-    /// configuration later resumes this snapshot).
-    pub broadcast_view: Vec<f32>,
-    /// Global parameters at the last broadcast (the delta reference
-    /// `w_broadcast_base`); empty when the downlink is dense.
-    pub broadcast_last: Vec<f32>,
-    /// Server-side downlink error-feedback residual; empty when absent
-    /// (dense downlink, or a delta run that has not dropped mass yet).
-    pub broadcast_residual: Vec<f32>,
-    /// Broadcast sync epoch — which full-model resync generation the
-    /// clients' views belong to.
-    pub broadcast_epoch: u64,
+    /// The run state.
+    pub state: SimState,
 }
 
 /// Wrap an I/O or parse failure as the uniform [`RestoreError::Snapshot`]
@@ -117,136 +291,56 @@ impl Checkpoint {
             config: *sim.config(),
             algorithm,
             hyper,
-            round: sim.rounds_done(),
-            global: sim.global_params().to_vec(),
-            states: sim
-                .client_states()
-                .iter()
-                .map(|(client, state)| ClientEntry {
-                    client,
-                    state: state.clone(),
-                })
-                .collect(),
-            server_state: sim.algorithm_server_state(),
-            records: sim.records().to_vec(),
-            clock: sim.virtual_time(),
-            edge_clocks: sim.edge_clock_times(),
-            scheduler: sim.scheduler_state(),
-            utility: sim
-                .utility_table()
-                .export()
-                .into_iter()
-                .map(|(client, loss)| UtilityEntry { client, loss })
-                .collect(),
-            broadcast_view: sim.broadcast_state().0.to_vec(),
-            broadcast_last: sim.broadcast_state().1.to_vec(),
-            broadcast_residual: sim
-                .broadcast_state()
-                .2
-                .map(<[f32]>::to_vec)
-                .unwrap_or_default(),
-            broadcast_epoch: sim.broadcast_state().3,
+            server_state: sim.algorithm.server_state(),
+            state: sim.state.clone(),
         }
     }
 
     /// Rebuild a simulation that continues exactly where the snapshot
-    /// stopped.
-    ///
-    /// A snapshot that does not fit its own recorded configuration (wrong
-    /// parameter count, per-client or server-side vectors of the wrong
-    /// length, client entries beyond the federation, edge-clock count
-    /// diverging from `config.edges`, inconsistent record count) returns a
-    /// clean [`RestoreError`] instead of panicking.
+    /// stopped: a fresh [`Simulation`] of the recorded configuration, then
+    /// the state moved in once [`SimState::validate`] accepts it. A
+    /// snapshot that does not fit its own configuration returns a clean
+    /// [`RestoreError`] instead of panicking.
     pub fn restore(&self) -> Result<Simulation, RestoreError> {
-        // a corrupted/hand-edited snapshot must not reach Simulation::new's
+        // a corrupted/hand-edited snapshot must not reach Env::new's
         // asserts: re-check its invariants as a clean error first
         self.config
             .validate()
             .map_err(RestoreError::InvalidConfig)?;
-        // the scheduler's in-flight/buffered jobs also carry client ids;
-        // validate them here so a shrunken-config or corrupt snapshot
-        // errors cleanly instead of panicking rounds later
-        for job in self
-            .scheduler
-            .in_flight
-            .iter()
-            .chain(&self.scheduler.buffer)
-        {
-            if job.client >= self.config.n_clients {
-                return Err(RestoreError::InvalidClientStates(format!(
-                    "scheduler job for client {} out of range for a federation of {}",
-                    job.client, self.config.n_clients
-                )));
-            }
-            for v in std::iter::once(&job.outcome.params).chain(&job.outcome.aux) {
-                if v.len() != self.global.len() {
-                    return Err(RestoreError::GlobalSizeMismatch {
-                        snapshot: v.len(),
-                        expected: self.global.len(),
-                    });
-                }
-            }
-        }
-        // utility entries carry client ids too: reject out-of-range ones
-        // here so a shrunken-config snapshot errors cleanly
-        for e in &self.utility {
-            if e.client >= self.config.n_clients {
-                return Err(RestoreError::InvalidClientStates(format!(
-                    "utility entry for client {} out of range for a federation of {}",
-                    e.client, self.config.n_clients
-                )));
-            }
-        }
-        let alg = self.algorithm.build(&self.hyper);
-        let mut sim = Simulation::new(self.config, alg);
-        // order matters: Simulation::new ran on_init, which sized-and-zeroed
-        // the server state; overwrite it now
-        sim.restore_algorithm_state(self.server_state.clone())?;
-        sim.restore_snapshot(
-            self.round,
-            self.global.clone(),
-            self.states.iter().map(|e| (e.client, e.state.clone())),
-            self.records.clone(),
-        )?;
-        sim.restore_runtime(self.clock, &self.edge_clocks, self.scheduler.clone())?;
-        sim.restore_utility(self.utility.iter().map(|e| (e.client, e.loss)));
-        // after restore_snapshot: empty broadcast vectors (dense captures)
-        // re-anchor to the restored global model
-        sim.restore_broadcast(
-            self.broadcast_view.clone(),
-            self.broadcast_last.clone(),
-            (!self.broadcast_residual.is_empty()).then(|| self.broadcast_residual.clone()),
-            self.broadcast_epoch,
-        )?;
+        let mut sim = Simulation::new(self.config, self.algorithm.build(&self.hyper));
+        self.state
+            .validate(&sim.env, sim.algorithm.as_ref(), &self.server_state)?;
+        sim.algorithm
+            .restore_server_state(self.server_state.clone());
+        sim.state = self.state.clone();
+        sim.state.states.set_n_clients(self.config.n_clients);
         Ok(sim)
     }
 
     /// Every f32 tensor slot in canonical order: `global`, each
     /// `server_state` vector, each client's `historical` / `correction` /
     /// `residual` when present, each scheduler job's `params` and `aux`
-    /// when present, then the three broadcast vectors. [`Checkpoint::save`]
-    /// writes and [`Checkpoint::load`] reads the sections in this order.
+    /// when present, then the broadcast view, reference and (when present)
+    /// residual. [`Checkpoint::save`] writes and [`Checkpoint::load`] reads
+    /// the sections in this order.
     fn tensor_slots(&mut self) -> Vec<&mut Vec<f32>> {
-        let mut slots = vec![&mut self.global];
+        let state = &mut self.state;
+        let mut slots = vec![&mut state.global];
         slots.extend(&mut self.server_state);
-        for entry in &mut self.states {
-            let s = &mut entry.state;
+        for (_, s) in state.states.iter_mut() {
             slots.extend(
                 [&mut s.historical, &mut s.correction, &mut s.residual]
                     .into_iter()
                     .flatten(),
             );
         }
-        let scheduler = &mut self.scheduler;
+        let scheduler = &mut state.scheduler;
         for job in scheduler.in_flight.iter_mut().chain(&mut scheduler.buffer) {
             slots.push(&mut job.outcome.params);
             slots.extend(&mut job.outcome.aux);
         }
-        slots.extend([
-            &mut self.broadcast_view,
-            &mut self.broadcast_last,
-            &mut self.broadcast_residual,
-        ]);
+        slots.extend([&mut state.broadcast_view, &mut state.broadcast_last]);
+        slots.extend(&mut state.broadcast_residual);
         slots
     }
 
@@ -487,6 +581,30 @@ mod tests {
     }
 
     #[test]
+    fn resume_keeps_participation_counts() {
+        // the counts derive from the records, so a resumed run reports the
+        // straight run's, folds before the capture included
+        let hyper = HyperParams::default();
+        let mut c = cfg(58);
+        c.selection = crate::runtime::SelectionStrategy::Oort;
+        c.churn_join_window = 4;
+        c.churn_residency = 8;
+        let mut straight = Simulation::new(c, AlgorithmKind::FedTrip.build(&hyper));
+        straight.run();
+        let mut first = Simulation::new(c, AlgorithmKind::FedTrip.build(&hyper));
+        for _ in 0..3 {
+            first.run_round();
+        }
+        let ckpt = Checkpoint::capture(&first, AlgorithmKind::FedTrip, hyper);
+        let mut resumed = ckpt.restore().expect("self-consistent checkpoint");
+        resumed.run();
+        assert_eq!(
+            straight.participation_counts(),
+            resumed.participation_counts()
+        );
+    }
+
+    #[test]
     fn resume_is_bit_identical_under_delta_downlink_across_resync() {
         use crate::compression::CompressionKind;
         // capture at round 4 with resyncs at rounds 3 and 6: the resumed
@@ -521,29 +639,32 @@ mod tests {
             sim.run_round();
         }
         let ckpt = Checkpoint::capture(&sim, AlgorithmKind::FedAvg, hyper);
-        let n = ckpt.global.len();
-        assert_eq!(ckpt.broadcast_view.len(), n);
-        assert_eq!(ckpt.broadcast_last.len(), n);
-        assert_eq!(ckpt.broadcast_residual.len(), n, "top-k must drop mass");
+        let s = &ckpt.state;
+        let n = s.global.len();
+        assert_eq!(s.broadcast_view.len(), n);
+        assert_eq!(s.broadcast_last.len(), n);
+        let residual = s.broadcast_residual.as_ref().map(Vec::len);
+        assert_eq!(residual, Some(n), "top-k must drop mass");
         assert!(
-            ckpt.states.iter().all(|e| e.state.sync_epoch == Some(0)),
+            s.states.iter().all(|(_, st)| st.sync_epoch == Some(0)),
             "participants must be stamped with the broadcast epoch"
         );
         let restored = ckpt.restore().expect("self-consistent checkpoint");
-        let (view, last, residual, epoch) = restored.broadcast_state();
-        assert_eq!(view, &ckpt.broadcast_view[..]);
-        assert_eq!(last, &ckpt.broadcast_last[..]);
-        assert_eq!(residual, Some(&ckpt.broadcast_residual[..]));
-        assert_eq!(epoch, ckpt.broadcast_epoch);
+        let r = restored.state();
+        assert_eq!(r.broadcast_view, s.broadcast_view);
+        assert_eq!(r.broadcast_last, s.broadcast_last);
+        assert_eq!(r.broadcast_residual, s.broadcast_residual);
+        assert_eq!(r.broadcast_epoch, s.broadcast_epoch);
 
         // dense downlink: nothing to carry
         let mut sim = Simulation::new(cfg(57), AlgorithmKind::FedAvg.build(&hyper));
         sim.run_round();
         let ckpt = Checkpoint::capture(&sim, AlgorithmKind::FedAvg, hyper);
-        assert!(ckpt.broadcast_view.is_empty());
-        assert!(ckpt.broadcast_last.is_empty());
-        assert!(ckpt.broadcast_residual.is_empty());
-        assert!(ckpt.states.iter().all(|e| e.state.sync_epoch.is_none()));
+        let s = &ckpt.state;
+        assert!(s.broadcast_view.is_empty());
+        assert!(s.broadcast_last.is_empty());
+        assert!(s.broadcast_residual.is_none());
+        assert!(s.states.iter().all(|(_, st)| st.sync_epoch.is_none()));
     }
 
     #[test]
@@ -556,13 +677,18 @@ mod tests {
             sim.run_round();
         }
         let ckpt = Checkpoint::capture(&sim, AlgorithmKind::FedAvg, hyper);
-        assert!(!ckpt.utility.is_empty(), "no utility captured");
+        let utility = &ckpt.state.utility;
+        assert!(!utility.is_empty(), "no utility captured");
         // ascending client order (deterministic serialization)
-        assert!(ckpt.utility.windows(2).all(|w| w[0].client < w[1].client));
+        let entries = Vec::<UtilityEntry>::from_value(&utility.to_value()).unwrap();
+        assert!(entries.windows(2).all(|w| w[0].client < w[1].client));
         let restored = ckpt.restore().expect("self-consistent checkpoint");
         let got = restored.utility_table().export();
-        let want: Vec<(usize, f64)> = ckpt.utility.iter().map(|e| (e.client, e.loss)).collect();
-        assert_eq!(got, want, "utility table diverged across the round trip");
+        assert_eq!(
+            got,
+            utility.export(),
+            "utility table diverged across the round trip"
+        );
     }
 
     #[test]
@@ -573,10 +699,7 @@ mod tests {
         let mut sim = Simulation::new(c, AlgorithmKind::FedAvg.build(&hyper));
         sim.run_round();
         let mut ckpt = Checkpoint::capture(&sim, AlgorithmKind::FedAvg, hyper);
-        ckpt.utility.push(UtilityEntry {
-            client: ckpt.config.n_clients,
-            loss: 1.0,
-        });
+        ckpt.state.utility.record(ckpt.config.n_clients, 1.0);
         let err = ckpt.restore().map(|_| ()).unwrap_err();
         assert!(err.to_string().contains("utility entry"), "{err}");
     }
@@ -594,16 +717,15 @@ mod tests {
         }
         let ckpt = Checkpoint::capture(&sim, AlgorithmKind::FedAvg, hyper);
         assert!(
-            ckpt.states.iter().any(|e| e.state.residual.is_some()),
+            ckpt.state.states.iter().any(|(_, s)| s.residual.is_some()),
             "no residual captured"
         );
         let restored = ckpt.restore().expect("self-consistent checkpoint");
-        for e in &ckpt.states {
+        for (client, state) in ckpt.state.states.iter() {
             assert_eq!(
-                Some(&e.state.residual),
-                restored.client_states().get(e.client).map(|s| &s.residual),
-                "client {}",
-                e.client
+                Some(&state.residual),
+                restored.client_states().get(client).map(|s| &s.residual),
+                "client {client}"
             );
         }
     }
@@ -635,7 +757,8 @@ mod tests {
             ("5", r#"{"version": 5}"#),
             ("6", r#"{"version": 6}"#),
             ("7", r#"{"version": 7, "round": 4, "global": [0.5, -0]}"#),
-            ("9", r#"{"version": 9}"#),
+            ("8", r#"{"version": 8, "round": 4, "clock": 1.5}"#),
+            ("10", r#"{"version": 10}"#),
             ("<missing>", r#"{"round": 4}"#),
         ];
         let path = std::env::temp_dir().join("fedtrip_ckpt_foreign_version_test.json");
@@ -654,11 +777,8 @@ mod tests {
         let mut sim = Simulation::new(cfg(60), AlgorithmKind::FedTrip.build(&hyper));
         sim.run_round();
         let mut ckpt = Checkpoint::capture(&sim, AlgorithmKind::FedTrip, hyper);
-        let hist = ckpt.states[0]
-            .state
-            .historical
-            .as_mut()
-            .expect("FedTrip keeps w̃_k");
+        let (_, first) = ckpt.state.states.iter_mut().next().unwrap();
+        let hist = first.historical.as_mut().expect("FedTrip keeps w̃_k");
         hist.pop();
         let err = ckpt.restore().map(|_| ()).unwrap_err();
         assert!(
@@ -806,9 +926,10 @@ mod tests {
             sim.run_round();
             let mut ckpt = Checkpoint::capture(&sim, kind, hyper);
             if kind == AlgorithmKind::FedTrip {
-                plant(&mut ckpt.global);
-                plant(ckpt.states[0].state.historical.as_mut().unwrap());
-                plant(&mut ckpt.broadcast_residual);
+                plant(&mut ckpt.state.global);
+                let (_, first) = ckpt.state.states.iter_mut().next().unwrap();
+                plant(first.historical.as_mut().unwrap());
+                plant(ckpt.state.broadcast_residual.as_mut().unwrap());
             } else {
                 plant(&mut ckpt.server_state[0]);
             }
@@ -845,7 +966,7 @@ mod tests {
         fs::remove_dir(&tmp).unwrap();
         assert!(failed.is_err(), "save into a blocked temp path succeeded");
         let previous = Checkpoint::load(&path).expect("previous snapshot still loads");
-        assert_eq!(previous.round, 1);
+        assert_eq!(previous.state.records.len(), 1);
         previous
             .restore()
             .expect("previous snapshot still restores");
@@ -866,7 +987,7 @@ mod tests {
         let corruptions: [(&str, Corrupt); 6] = [
             // a count near 2^64 must not reach the allocator
             ("flipped high count byte", |b, at| b[at + 7] = 0xff),
-            // the last section is the dense run's empty broadcast residual
+            // the last section is the dense run's empty broadcast reference
             ("missing section", |b, _| b.truncate(b.len() - 8)),
             ("surplus section", |b, _| b.extend(0u64.to_le_bytes())),
             ("trailing byte", |b, _| b.push(0)),
@@ -905,11 +1026,12 @@ mod tests {
         sim.run_round();
         let ckpt = Checkpoint::capture(&sim, AlgorithmKind::FedAvg, hyper);
         assert_eq!(ckpt.version, CHECKPOINT_VERSION);
-        assert!(ckpt.clock > 0.0, "virtual clock should have advanced");
+        let clock = ckpt.state.records[0].virtual_time;
+        assert!(clock > 0.0, "virtual clock should have advanced");
         // flat federation: one edge clock, colocated with the root
-        assert_eq!(ckpt.edge_clocks.len(), 1);
+        assert_eq!(ckpt.state.edges.n_edges(), 1);
         // sync scheduler is stateless
-        assert!(ckpt.scheduler.in_flight.is_empty());
+        assert!(ckpt.state.scheduler.in_flight.is_empty());
     }
 
     #[test]
@@ -920,9 +1042,10 @@ mod tests {
         let mut sim = Simulation::new(c, AlgorithmKind::FedAvg.build(&hyper));
         sim.run_round();
         let ckpt = Checkpoint::capture(&sim, AlgorithmKind::FedAvg, hyper);
-        assert_eq!(ckpt.edge_clocks.len(), 3);
+        let clocks = ckpt.state.edges.clocks();
+        assert_eq!(clocks.len(), 3);
         // every edge clock sits at or behind the root
-        assert!(ckpt.edge_clocks.iter().all(|&t| t <= ckpt.clock));
+        assert!(clocks.iter().all(|c| c.now() <= sim.virtual_time()));
     }
 
     #[test]
@@ -936,9 +1059,9 @@ mod tests {
         let path = std::env::temp_dir().join("fedtrip_ckpt_test.json");
         ckpt.save(&path).unwrap();
         let loaded = Checkpoint::load(&path).unwrap();
-        assert_eq!(loaded.round, 2);
-        assert_eq!(loaded.global, ckpt.global);
-        assert_eq!(loaded.edge_clocks, ckpt.edge_clocks);
+        assert_eq!(loaded.state.records.len(), 2);
+        assert_eq!(loaded.state.global, ckpt.state.global);
+        assert_eq!(loaded.state.edges.clocks(), ckpt.state.edges.clocks());
         let mut resumed = loaded.restore().expect("self-consistent checkpoint");
         resumed.run_round();
         assert_eq!(resumed.rounds_done(), 3);
@@ -951,48 +1074,63 @@ mod tests {
         sim.run_round();
         let ckpt = Checkpoint::capture(&sim, AlgorithmKind::FedTrip, hyper);
         // one round of K=3: at most 3 entries, never one per client
-        assert!(!ckpt.states.is_empty());
-        assert!(ckpt.states.len() <= 3, "{} entries", ckpt.states.len());
+        let entries = Vec::<ClientEntry>::from_value(&ckpt.state.states.to_value()).unwrap();
+        assert!(!entries.is_empty());
+        assert!(entries.len() <= 3, "{} entries", entries.len());
         // ascending client order (deterministic serialization)
-        assert!(ckpt.states.windows(2).all(|w| w[0].client < w[1].client));
+        assert!(entries.windows(2).all(|w| w[0].client < w[1].client));
     }
 
     #[test]
     fn restore_reports_clean_error_on_config_mismatch() {
+        use crate::compression::CompressionKind;
         let hyper = HyperParams::default();
         let mut sim = Simulation::new(cfg(42), AlgorithmKind::FedAvg.build(&hyper));
         sim.run_round();
-        let mut ckpt = Checkpoint::capture(&sim, AlgorithmKind::FedAvg, hyper);
-        // shrink the federation below a recorded participant id: the old
-        // engine hard-asserted here; now it must surface a RestoreError
-        let max_client = ckpt.states.iter().map(|e| e.client).max().unwrap();
-        ckpt.config.n_clients = max_client; // ids are 0-based: now out of range
-        ckpt.config.clients_per_round = ckpt.config.clients_per_round.min(max_client);
-        let err = ckpt.restore().map(|_| ()).unwrap_err();
-        assert!(
-            matches!(err, crate::engine::RestoreError::InvalidClientStates(_)),
-            "unexpected error: {err}"
-        );
-        assert!(err.to_string().contains("out of range"), "{err}");
-
-        // records/round mismatch is also a clean error
-        let mut ckpt = Checkpoint::capture(&sim, AlgorithmKind::FedAvg, hyper);
-        ckpt.round = 5;
-        let err = ckpt.restore().map(|_| ()).unwrap_err();
-        assert!(
-            matches!(err, crate::engine::RestoreError::RecordsMismatch { .. }),
-            "unexpected error: {err}"
-        );
-
-        // edge-clock count diverging from config.edges is a clean error too
-        let mut ckpt = Checkpoint::capture(&sim, AlgorithmKind::FedAvg, hyper);
-        ckpt.edge_clocks.push(0.0);
-        let err = ckpt.restore().map(|_| ()).unwrap_err();
-        assert!(
-            matches!(err, crate::engine::RestoreError::EdgeClocksMismatch { .. }),
-            "unexpected error: {err}"
-        );
-        assert!(err.to_string().contains("edge clocks"), "{err}");
+        let good = Checkpoint::capture(&sim, AlgorithmKind::FedAvg, hyper);
+        type Corrupt = fn(&mut Checkpoint);
+        type Expect = fn(&RestoreError) -> bool;
+        let cases: [(&str, Corrupt, Expect); 4] = [
+            // shrink the federation below a recorded participant id: the
+            // old engine hard-asserted here; now it must surface a
+            // RestoreError
+            (
+                "shrunken federation",
+                |c| {
+                    let max_client = c.state.states.iter().map(|(id, _)| id).max().unwrap();
+                    c.config.n_clients = max_client; // ids are 0-based: now out of range
+                    c.config.clients_per_round = c.config.clients_per_round.min(max_client);
+                },
+                |e| matches!(e, RestoreError::InvalidClientStates(m) if m.contains("out of range")),
+            ),
+            // an edge-clock count diverging from config.edges
+            (
+                "extra edge clock",
+                |c| c.state.edges = EdgeTier::new(2),
+                |e| {
+                    matches!(e, RestoreError::EdgeClocksMismatch { .. })
+                        && e.to_string().contains("edge clocks")
+                },
+            ),
+            // a dense downlink carries no broadcast vectors...
+            (
+                "view under a dense downlink",
+                |c| c.state.broadcast_view = c.state.global.clone(),
+                |e| matches!(e, RestoreError::BroadcastMismatch { .. }),
+            ),
+            // ...and a delta downlink is not silently re-anchored
+            (
+                "delta downlink without a view",
+                |c| c.config.downlink_compression = CompressionKind::Q8,
+                |e| matches!(e, RestoreError::BroadcastMismatch { .. }),
+            ),
+        ];
+        for (name, corrupt, expect) in cases {
+            let mut ckpt = good.clone();
+            corrupt(&mut ckpt);
+            let err = ckpt.restore().map(|_| ()).unwrap_err();
+            assert!(expect(&err), "{name}: unexpected error {err}");
+        }
     }
 
     #[test]
@@ -1038,17 +1176,17 @@ mod tests {
         let mut sim = Simulation::new(c, AlgorithmKind::FedAvg.build(&hyper));
         sim.run_round();
         let mut ckpt = Checkpoint::capture(&sim, AlgorithmKind::FedAvg, hyper);
+        let jobs = &ckpt.state.scheduler;
         assert!(
-            !ckpt.scheduler.in_flight.is_empty(),
+            !jobs.in_flight.is_empty(),
             "semi-async capture should carry in-flight jobs"
         );
         // shrink the federation below a dispatched client id: must be a
         // clean RestoreError, not a panic rounds after resume
-        let max_client = ckpt
-            .scheduler
+        let max_client = jobs
             .in_flight
             .iter()
-            .chain(&ckpt.scheduler.buffer)
+            .chain(&jobs.buffer)
             .map(|j| j.client)
             .max()
             .unwrap();

@@ -19,14 +19,19 @@
 //! cumulative local-compute FLOPs, per-round test accuracy, and — new with
 //! the runtime split — the virtual wall-clock behind a time-to-accuracy
 //! metric.
+//!
+//! A [`Simulation`] is an [`Env`] (everything derived from the
+//! configuration, rebuilt and never saved), the method, and a [`SimState`]
+//! (everything a round mutates — the checkpoint).
 
 use crate::algorithms::{Algorithm, ClientStateStore};
+use crate::checkpoint::SimState;
 use crate::compression::{error_feedback_into, CompressionKind, Compressor};
 use crate::costs::CostModel;
 use crate::runtime::ClientExecutor;
 use crate::runtime::{
-    AvailabilityModel, ClientSizes, DeviceProfiles, EdgeTier, RuntimeCtx, Sampler, Scheduler,
-    SchedulerState, SemiAsync, StepOutput, Synchronous, UtilityTable, VirtualClock,
+    AvailabilityModel, ClientSizes, DeviceProfiles, RuntimeCtx, Sampler, Scheduler, SemiAsync,
+    StepOutput, Synchronous, UtilityTable, VirtualClock,
 };
 pub use crate::runtime::{RunMode, SelectionStrategy};
 use fedtrip_data::partition::{HeterogeneityKind, Partition};
@@ -137,8 +142,7 @@ pub struct SimulationConfig {
     /// codec switches the broadcast to compressed **deltas** against the
     /// last broadcast, with server-side error feedback: clients
     /// reconstruct their view incrementally, periodic resyncs and
-    /// on-demand dense sends (joiners, pre-delta restores) keep the view
-    /// anchored.
+    /// on-demand dense sends (joiners) keep the view anchored.
     pub downlink_compression: CompressionKind,
     /// Periodic full-model resync interval `R` for delta broadcasts: every
     /// `R`-th round the server sends the dense global model and clears the
@@ -310,7 +314,7 @@ pub struct RoundRecord {
     /// upload bytes (`1.0` when compression is off).
     pub compression_ratio: f64,
     /// Downlink bytes this round: per folded client a dense full-model
-    /// send (resync rounds, joiners, pre-delta restores — and every round
+    /// send (resync rounds, joiners — and every round
     /// when the downlink codec is off) or an encoded delta broadcast, plus
     /// the root→edge broadcast relays when `E > 1` rides a lossy downlink
     /// codec.
@@ -339,13 +343,13 @@ pub enum RestoreError {
     /// The snapshot's recorded configuration is internally inconsistent
     /// (would fail [`Simulation::new`]'s invariants).
     InvalidConfig(String),
-    /// The number of round records does not match the recorded round
-    /// counter.
-    RecordsMismatch {
-        /// Records carried by the snapshot.
-        records: usize,
-        /// Rounds the snapshot claims completed.
-        round: usize,
+    /// A broadcast vector does not fit the configured downlink: a dense
+    /// downlink carries none, a delta downlink one per model parameter.
+    BroadcastMismatch {
+        /// Values in the snapshot's vector.
+        snapshot: usize,
+        /// Values the configured downlink needs.
+        expected: usize,
     },
     /// The snapshot's per-edge clock list does not match the configured
     /// edge-tier width.
@@ -381,9 +385,9 @@ impl std::fmt::Display for RestoreError {
             RestoreError::InvalidConfig(msg) => {
                 write!(f, "invalid snapshot configuration: {msg}")
             }
-            RestoreError::RecordsMismatch { records, round } => write!(
+            RestoreError::BroadcastMismatch { snapshot, expected } => write!(
                 f,
-                "snapshot carries {records} round records but claims {round} completed rounds"
+                "snapshot carries a broadcast vector of {snapshot} values but the configured downlink needs {expected}"
             ),
             RestoreError::EdgeClocksMismatch { snapshot, expected } => write!(
                 f,
@@ -400,71 +404,40 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// A running federated simulation.
-pub struct Simulation {
-    cfg: SimulationConfig,
-    algorithm: Box<dyn Algorithm>,
-    dataset: SyntheticVision,
-    partition: Partition,
-    template: Sequential,
-    global: Vec<f32>,
-    states: ClientStateStore,
-    test_x: Tensor,
-    test_y: Vec<usize>,
-    round: usize,
-    records: Vec<RoundRecord>,
-    cum_comm_bytes: f64,
-    cum_flops: f64,
-    sampler: Sampler,
-    profiles: DeviceProfiles,
-    clock: VirtualClock,
-    edges: EdgeTier,
-    scheduler: Box<dyn Scheduler>,
-    compressor: Box<dyn Compressor>,
+/// Everything a run derives from its configuration: dataset, partition,
+/// model template, test set, sampler, device profiles, scheduler and both
+/// codecs. Pure — [`Env::new`] of the same configuration rebuilds it bit for
+/// bit — so a checkpoint stores only the configuration it came from.
+pub struct Env {
+    pub(crate) cfg: SimulationConfig,
+    pub(crate) dataset: SyntheticVision,
+    pub(crate) partition: Partition,
+    pub(crate) template: Sequential,
+    pub(crate) test_x: Tensor,
+    pub(crate) test_y: Vec<usize>,
+    pub(crate) sampler: Sampler,
+    pub(crate) profiles: DeviceProfiles,
+    pub(crate) scheduler: Box<dyn Scheduler>,
+    pub(crate) compressor: Box<dyn Compressor>,
     /// Downlink broadcast codec (`Identity` = dense full-model sends).
-    down_codec: Box<dyn Compressor>,
-    /// The clients' reconstructed view of the global model under delta
-    /// broadcasts; empty (unused) when the downlink is dense. Invariant
-    /// (pinned by `tests/downlink.rs`): `broadcast_view +
-    /// broadcast_residual == broadcast_last` after every broadcast.
-    broadcast_view: Vec<f32>,
-    /// Global parameters at the last broadcast — the delta reference
-    /// `w_broadcast_base`; empty when the downlink is dense.
-    broadcast_last: Vec<f32>,
-    /// Server-side error-feedback residual of the downlink codec:
-    /// `e' = (delta + e) - decode(encode(delta + e))`.
-    broadcast_residual: Option<Vec<f32>>,
-    /// Reused delta and wire buffers for the downlink round trip (scratch,
-    /// not state).
-    broadcast_scratch: (Vec<f32>, Vec<u8>),
-    /// Broadcast sync epoch — bumped on every periodic resync; clients
-    /// whose [`crate::algorithms::ClientState::sync_epoch`] lags receive an
-    /// on-demand dense base before any delta (checkpointed).
-    broadcast_epoch: u64,
-    /// Per-client statistical utility (most recent observed mean loss),
-    /// feeding the Oort selection strategy; checkpointed.
-    utility: UtilityTable,
-    /// Per-client fold counts (diagnostic for the participation-Gini
-    /// metric; bounded by the distinct participants, not `N`; not
-    /// checkpointed).
-    participation: BTreeMap<usize, u64>,
+    pub(crate) down_codec: Box<dyn Compressor>,
 }
 
-impl Simulation {
-    /// Build a simulation: synthesizes the dataset, sets up the (lazy)
-    /// partition, initializes the global model, derives device profiles,
-    /// and constructs the configured scheduler.
+impl Env {
+    /// Build the environment: synthesizes the dataset, sets up the (lazy)
+    /// partition, the model template and test set, derives device
+    /// profiles, and constructs the configured scheduler and codecs.
     ///
-    /// Construction is O(1) in `n_clients`: client shards, device profiles
-    /// and client states all materialize on first participation, so a
-    /// 10⁵-client federation costs no more to stand up than a 10-client
-    /// one.
+    /// Construction is O(1) in `n_clients`: client shards and device
+    /// profiles materialize on first participation, so a 10⁵-client
+    /// federation costs no more to stand up than a 10-client one.
     ///
     /// # Panics
     /// Panics on inconsistent configuration (zero clients, `K > N`, zero
     /// batch size or test set, model/dataset shape mismatch,
     /// `device_het < 1`).
-    pub fn new(cfg: SimulationConfig, mut algorithm: Box<dyn Algorithm>) -> Self {
+    pub fn new(cfg: &SimulationConfig) -> Env {
+        let cfg = *cfg;
         assert!(cfg.n_clients > 0, "need at least one client");
         assert!(
             cfg.clients_per_round > 0 && cfg.clients_per_round <= cfg.n_clients,
@@ -496,8 +469,6 @@ impl Simulation {
         let template = cfg
             .model
             .build(&spec.sample_shape(), spec.classes, cfg.seed);
-        let global = template.params_flat();
-        algorithm.on_init(cfg.n_clients, global.len());
         let (test_x, test_y) = dataset.test_set(cfg.test_per_class);
         let profiles = DeviceProfiles::new(cfg.seed, cfg.n_clients, cfg.device_het as f64);
         let sampler = Sampler::new(
@@ -519,272 +490,24 @@ impl Simulation {
                 cfg.staleness_exponent,
             )),
         };
-        let down_codec = cfg.downlink_compression.build();
-        // delta broadcasts start from a shared base: the clients' view and
-        // the delta reference both equal the initial global model. Dense
-        // downlinks never touch either, so they stay empty.
-        let (broadcast_view, broadcast_last) = if down_codec.is_identity() {
-            (Vec::new(), Vec::new())
-        } else {
-            (global.clone(), global.clone())
-        };
-        Simulation {
+        Env {
             cfg,
-            algorithm,
             dataset,
             partition,
             template,
-            global,
-            states: ClientStateStore::new(cfg.n_clients),
             test_x,
             test_y,
-            round: 0,
-            records: Vec::new(),
-            cum_comm_bytes: 0.0,
-            cum_flops: 0.0,
             sampler,
             profiles,
-            clock: VirtualClock::new(),
-            edges: EdgeTier::new(cfg.edges),
             scheduler,
             compressor: cfg.compression.build(),
-            down_codec,
-            broadcast_view,
-            broadcast_last,
-            broadcast_residual: None,
-            broadcast_scratch: Default::default(),
-            broadcast_epoch: 0,
-            utility: UtilityTable::new(),
-            participation: BTreeMap::new(),
+            down_codec: cfg.downlink_compression.build(),
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SimulationConfig {
-        &self.cfg
-    }
-
-    /// The partition (e.g. for label-histogram reporting).
-    pub fn partition(&self) -> &Partition {
-        &self.partition
-    }
-
-    /// Current global parameters.
-    pub fn global_params(&self) -> &[f32] {
-        &self.global
-    }
-
-    /// Per-client state (participation history etc.) — sparse: only
-    /// clients that have participated hold an entry.
-    pub fn client_states(&self) -> &ClientStateStore {
-        &self.states
-    }
-
-    /// Force every client's state resident (defaults where absent).
-    ///
-    /// Semantically a no-op — an explicit default entry behaves exactly
-    /// like absence — kept as the handle the sparse≡dense equivalence
-    /// tests use to run the engine against a dense store. O(N) memory;
-    /// never called by the engine itself.
-    pub fn prefill_dense_states(&mut self) {
-        self.states.prefill_dense();
-    }
-
-    /// Round records so far.
-    pub fn records(&self) -> &[RoundRecord] {
-        &self.records
-    }
-
-    /// Rounds completed.
-    pub fn rounds_done(&self) -> usize {
-        self.round
-    }
-
-    /// Current virtual wall-clock in seconds.
-    pub fn virtual_time(&self) -> f64 {
-        self.clock.now()
-    }
-
-    /// Per-client device profiles in effect (derived lazily per client).
-    pub fn device_profiles(&self) -> DeviceProfiles {
-        self.profiles
-    }
-
-    /// A copy of the global model as a ready-to-use network.
-    pub fn global_model(&self) -> Sequential {
-        let mut net = self.template.clone();
-        net.set_params_flat(&self.global);
-        net
-    }
-
-    /// Server-side algorithm state (for checkpointing).
-    pub fn algorithm_server_state(&self) -> Vec<Vec<f32>> {
-        self.algorithm.server_state()
-    }
-
-    /// Restore server-side algorithm state (must run *after* construction —
-    /// `Simulation::new` calls `on_init`, which reinitializes it). State
-    /// whose shape — vector count and each vector's length — differs from
-    /// what `on_init` produced returns a clean [`RestoreError`] and leaves
-    /// the simulation untouched.
-    pub fn restore_algorithm_state(&mut self, state: Vec<Vec<f32>>) -> Result<(), RestoreError> {
-        let shape = |s: &[Vec<f32>]| s.iter().map(Vec::len).collect::<Vec<_>>();
-        let (snapshot, expected) = (shape(&state), shape(&self.algorithm.server_state()));
-        if snapshot != expected {
-            return Err(RestoreError::ServerStateMismatch { snapshot, expected });
-        }
-        self.algorithm.restore_server_state(state);
-        Ok(())
-    }
-
-    /// Scheduler position (clock-independent) for checkpointing.
-    pub fn scheduler_state(&self) -> SchedulerState {
-        self.scheduler.export_state()
-    }
-
-    /// The Oort utility table (most recent observed mean loss per client).
-    pub fn utility_table(&self) -> &UtilityTable {
-        &self.utility
-    }
-
-    /// Restore the utility table from checkpointed `(client, mean_loss)`
-    /// pairs (must run after [`Simulation::restore_snapshot`] so a resumed
-    /// run scores Oort selection identically).
-    pub fn restore_utility(&mut self, pairs: impl IntoIterator<Item = (usize, f64)>) {
-        self.utility = UtilityTable::from_pairs(pairs);
-    }
-
-    /// Per-client fold counts so far (clients that never folded are
-    /// absent). Feeds the participation-Gini diagnostic of the `scenario`
-    /// bench; not checkpointed.
-    pub fn participation_counts(&self) -> &BTreeMap<usize, u64> {
-        &self.participation
-    }
-
-    /// Restore engine position from a checkpoint (see
-    /// [`crate::checkpoint::Checkpoint`]). Overwrites round counter, global
-    /// parameters, client states and records; cumulative accounting and the
-    /// virtual clock are recovered from the last record.
-    ///
-    /// A snapshot that does not fit this simulation — wrong parameter
-    /// count, client ids beyond the configured federation, inconsistent
-    /// record count — returns a [`RestoreError`] instead of panicking, so a
-    /// config/checkpoint mismatch surfaces as a clean error the caller can
-    /// report. On error the simulation is left untouched.
-    pub fn restore_snapshot(
-        &mut self,
-        round: usize,
-        global: Vec<f32>,
-        states: impl IntoIterator<Item = (usize, crate::algorithms::ClientState)>,
-        records: Vec<RoundRecord>,
-    ) -> Result<(), RestoreError> {
-        if global.len() != self.global.len() {
-            return Err(RestoreError::GlobalSizeMismatch {
-                snapshot: global.len(),
-                expected: self.global.len(),
-            });
-        }
-        let store = ClientStateStore::from_entries(self.cfg.n_clients, self.global.len(), states)
-            .map_err(RestoreError::InvalidClientStates)?;
-        if records.len() != round {
-            return Err(RestoreError::RecordsMismatch {
-                records: records.len(),
-                round,
-            });
-        }
-        self.round = round;
-        self.global = global;
-        self.states = store;
-        if let Some(last) = records.last() {
-            self.cum_comm_bytes = last.cum_comm_bytes;
-            self.cum_flops = last.cum_flops;
-            self.clock.restore(last.virtual_time);
-        }
-        self.records = records;
-        Ok(())
-    }
-
-    /// Per-edge clock instants of the hierarchical tier, in edge order
-    /// (checkpoint capture).
-    pub fn edge_clock_times(&self) -> Vec<f64> {
-        self.edges.clock_times()
-    }
-
-    /// Downlink broadcast state for checkpoint capture:
-    /// `(view, last, residual, epoch)`. The vectors are empty when the
-    /// downlink is dense — there is nothing to carry.
-    pub fn broadcast_state(&self) -> (&[f32], &[f32], Option<&[f32]>, u64) {
-        (
-            &self.broadcast_view,
-            &self.broadcast_last,
-            self.broadcast_residual.as_deref(),
-            self.broadcast_epoch,
-        )
-    }
-
-    /// Restore the downlink broadcast state from a checkpoint. Must run
-    /// *after* [`Simulation::restore_snapshot`] (it anchors empty snapshot
-    /// vectors — dense-downlink captures — to the restored global model).
-    /// A non-empty vector whose length does not match the model returns a
-    /// clean [`RestoreError`] and leaves the simulation untouched.
-    pub fn restore_broadcast(
-        &mut self,
-        view: Vec<f32>,
-        last: Vec<f32>,
-        residual: Option<Vec<f32>>,
-        epoch: u64,
-    ) -> Result<(), RestoreError> {
-        let expected = self.global.len();
-        for v in [Some(&view), Some(&last), residual.as_ref()]
-            .into_iter()
-            .flatten()
-        {
-            if !v.is_empty() && v.len() != expected {
-                return Err(RestoreError::GlobalSizeMismatch {
-                    snapshot: v.len(),
-                    expected,
-                });
-            }
-        }
-        if !self.down_codec.is_identity() {
-            self.broadcast_view = if view.is_empty() {
-                self.global.clone()
-            } else {
-                view
-            };
-            self.broadcast_last = if last.is_empty() {
-                self.global.clone()
-            } else {
-                last
-            };
-            self.broadcast_residual = residual.filter(|r| !r.is_empty());
-        }
-        self.broadcast_epoch = epoch;
-        Ok(())
-    }
-
-    /// Restore the runtime layer from a checkpoint: the exact virtual-clock
-    /// instant (which can sit past the last record's fold time while
-    /// arrivals were being collected), the per-edge clocks of the
-    /// hierarchical tier, and the scheduler's in-flight state. A snapshot
-    /// whose edge-clock list does not match the configured tier width
-    /// returns a clean [`RestoreError`] and leaves the simulation untouched.
-    pub fn restore_runtime(
-        &mut self,
-        clock_now: f64,
-        edge_clocks: &[f64],
-        scheduler: SchedulerState,
-    ) -> Result<(), RestoreError> {
-        if edge_clocks.len() != self.edges.n_edges() {
-            return Err(RestoreError::EdgeClocksMismatch {
-                snapshot: edge_clocks.len(),
-                expected: self.edges.n_edges(),
-            });
-        }
-        self.clock.restore(clock_now);
-        self.edges.restore_times(edge_clocks);
-        self.scheduler.restore_state(scheduler);
-        Ok(())
+    /// Parameters of the configured model.
+    pub fn n_params(&self) -> usize {
+        self.template.num_params()
     }
 
     /// The Appendix-A cost model for this configuration (uses the nominal
@@ -801,253 +524,20 @@ impl Simulation {
         }
     }
 
-    /// Execute one server step (sync: one communication round; semi-async:
-    /// one buffer fold); returns the new record.
-    pub fn run_round(&mut self) -> &RoundRecord {
-        let t = self.round + 1;
-
-        // accounting basis: every method exchanges |w| parameters each way
-        // plus the attach-cost extras. Each direction rides its own codec
-        // (dense = the identity codec), so the clock charges exactly the
-        // bytes the compressors would emit: the uplink encodes the update
-        // (+ uplink extras), the downlink encodes the broadcast delta —
-        // except for dense full-model sends (resyncs, joiners), charged at
-        // f32 width.
-        let n_params = self.global.len();
-        let cost = self.cost_model();
-        let attach = self.algorithm.attach_cost(&cost);
-        let f32_bytes = std::mem::size_of::<f32>();
-        let down_bytes = ((n_params + attach.down_params) * f32_bytes) as f64;
-        let dense_up_bytes = ((n_params + attach.up_params) * f32_bytes) as f64;
-        let up_bytes = (self.compressor.encoded_len(n_params)
-            + if attach.up_params > 0 {
-                self.compressor.encoded_len(attach.up_params)
-            } else {
-                0
-            }) as f64;
-        let delta_down = !self.down_codec.is_identity();
-        let delta_down_bytes = if delta_down {
-            (self.down_codec.encoded_len(n_params)
-                + if attach.down_params > 0 {
-                    self.down_codec.encoded_len(attach.down_params)
-                } else {
-                    0
-                }) as f64
-        } else {
-            down_bytes
-        };
-
-        // delta-broadcast step: encode the server's movement since the last
-        // broadcast through the downlink codec with error feedback, and
-        // advance the clients' reconstructed view by what survived the
-        // wire. Every `resync_interval`-th round sends the dense model
-        // instead, clearing the residual and bumping the sync epoch so
-        // every client re-anchors. Dense downlinks skip all of this — the
-        // pre-delta path, bit for bit.
-        let resync_round = delta_down
-            && self.cfg.resync_interval > 0
-            && t.is_multiple_of(self.cfg.resync_interval);
-        if delta_down {
-            if resync_round {
-                self.broadcast_view.clone_from(&self.global);
-                self.broadcast_last.clone_from(&self.global);
-                self.broadcast_residual = None;
-                self.broadcast_epoch += 1;
-            } else {
-                // the decoded delta lands in `broadcast_last`, which is
-                // re-based on the global model right after
-                let (delta, wire) = &mut self.broadcast_scratch;
-                delta.clear();
-                delta.extend(
-                    self.global
-                        .iter()
-                        .zip(&self.broadcast_last)
-                        .map(|(g, l)| g - l),
-                );
-                error_feedback_into(
-                    self.down_codec.as_ref(),
-                    delta,
-                    &mut self.broadcast_residual,
-                    true,
-                    wire,
-                    &mut self.broadcast_last,
-                );
-                for (v, d) in self.broadcast_view.iter_mut().zip(&self.broadcast_last) {
-                    *v += d;
-                }
-                self.broadcast_last.clone_from(&self.global);
-            }
-        }
-
-        // edge links: the merged fold's summary uplink has the wire shape
-        // of one client upload and rides the uplink codec; under delta
-        // broadcasts the root additionally relays this round's broadcast
-        // (dense on resyncs, encoded delta otherwise) to each
-        // participating edge. Both are free when the single edge is
-        // colocated with the root (E = 1), and the relay adds exactly 0.0
-        // when the downlink is dense, keeping the legacy accounting
-        // bit-identical.
-        let edge_uplink_bytes = if self.cfg.edges > 1 { up_bytes } else { 0.0 };
-        let edge_down_bytes = if self.cfg.edges > 1 && delta_down {
-            if resync_round {
-                down_bytes
-            } else {
-                delta_down_bytes
-            }
-        } else {
-            0.0
-        };
-        let edge_uplink_secs = crate::costs::edge_uplink_secs(edge_uplink_bytes + edge_down_bytes);
-
-        let StepOutput {
-            fold,
-            folded,
-            participants,
-            edges_active,
-        } = {
-            let mut rt = RuntimeCtx {
-                exec: ClientExecutor {
-                    cfg: &self.cfg,
-                    dataset: &self.dataset,
-                    partition: &self.partition,
-                    template: &self.template,
-                    compressor: self.compressor.as_ref(),
-                    down_delta: delta_down,
-                    resync_round,
-                    broadcast_epoch: self.broadcast_epoch,
-                },
-                sampler: &self.sampler,
-                profiles: &self.profiles,
-                algorithm: self.algorithm.as_ref(),
-                clock: &mut self.clock,
-                // under delta broadcasts clients train from their
-                // reconstructed view (what actually travelled the wire);
-                // the server's true model still aggregates and evaluates
-                global: if delta_down {
-                    &self.broadcast_view
-                } else {
-                    &self.global
-                },
-                states: &mut self.states,
-                comm_up_bytes: up_bytes,
-                comm_down_dense_bytes: down_bytes,
-                comm_down_delta_bytes: delta_down_bytes,
-                edges: &mut self.edges,
-                edge_uplink_secs,
-                utility: &self.utility,
-                deadline_secs: self.cfg.deadline_secs as f64,
-            };
-            self.scheduler.step(t, &mut rt)
-        };
-
-        let mut down_bytes_round = 0.0;
-        for o in &folded {
-            let down = if o.dense_down {
-                down_bytes
-            } else {
-                delta_down_bytes
-            };
-            down_bytes_round += down;
-            self.cum_comm_bytes += down + up_bytes;
-            self.cum_flops += o.train_flops;
-        }
-        // utility bookkeeping for Oort selection, plus per-client fold
-        // counts for the participation-Gini diagnostic
-        for o in &folded {
-            self.utility.record(o.client, o.mean_loss);
-            *self.participation.entry(o.client).or_insert(0) += 1;
-        }
-        // churn: evict departed clients' state (and utility) the round
-        // they leave — a pure function of the round counter, so a resumed
-        // run evicts identically
-        let avail = *self.sampler.availability();
-        if avail.has_churn() {
-            let departed: Vec<usize> = self
-                .states
-                .iter()
-                .map(|(c, _)| c)
-                .filter(|&c| avail.has_left(c, t))
-                .collect();
-            for c in departed {
-                drop(self.states.take(c));
-                self.utility.evict(c);
-            }
-        }
-        // each participating edge shipped one summary to the root, and —
-        // under delta broadcasts — received one broadcast relay (both add
-        // exactly 0.0 when E = 1, keeping the flat accounting bit-identical)
-        let edge_uplink_total = edges_active as f64 * edge_uplink_bytes;
-        let edge_down_total = edges_active as f64 * edge_down_bytes;
-        self.cum_comm_bytes += edge_uplink_total;
-        self.cum_comm_bytes += edge_down_total;
-        let mean_loss =
-            folded.iter().map(|o| o.mean_loss).sum::<f64>() / folded.len().max(1) as f64;
-        let mean_staleness =
-            folded.iter().map(|o| o.staleness as f64).sum::<f64>() / folded.len().max(1) as f64;
-
-        // the scheduler already streamed every arrival into `fold`; all
-        // that is left is the method's finish step
-        self.algorithm.server_finish(&mut self.global, fold, t);
-
-        let accuracy = if t.is_multiple_of(self.cfg.eval_every) {
-            Some(self.evaluate())
-        } else {
-            None
-        };
-
-        self.records.push(RoundRecord {
-            round: t,
-            accuracy,
-            mean_loss,
-            cum_comm_bytes: self.cum_comm_bytes,
-            cum_flops: self.cum_flops,
-            selected: participants,
-            virtual_time: self.clock.now(),
-            mean_staleness,
-            comm_bytes_up: up_bytes * folded.len() as f64 + edge_uplink_total,
-            compression_ratio: dense_up_bytes / up_bytes,
-            comm_bytes_down: down_bytes_round + edge_down_total,
-            compression_ratio_down: if down_bytes_round > 0.0 {
-                down_bytes * folded.len() as f64 / down_bytes_round
-            } else {
-                1.0
-            },
-        });
-        self.round = t;
-        self.records.last().expect("just pushed") // lint:allow(panic) — record pushed on the line above
+    /// Test accuracy of `global` (chunked forward pass, the test rows split
+    /// across the rayon workers).
+    pub fn evaluate(&self, global: &[f32]) -> f64 {
+        self.evaluate_spans(global, rayon::current_num_threads())
     }
 
-    /// Run all configured rounds (continues from wherever the simulation
-    /// currently is). Returns the full record history.
-    pub fn run(&mut self) -> &[RoundRecord] {
-        while self.round < self.cfg.rounds {
-            self.run_round();
-        }
-        &self.records
-    }
-
-    /// Raise the configured round budget (used when extending a resumed
-    /// run); a target at or below the current budget is a no-op.
-    pub fn extend_rounds(&mut self, rounds: usize) {
-        if rounds > self.cfg.rounds {
-            self.cfg.rounds = rounds;
-        }
-    }
-
-    /// Test accuracy of the current global model (chunked forward pass,
-    /// the test rows split across the rayon workers).
-    pub fn evaluate(&self) -> f64 {
-        self.evaluate_spans(rayon::current_num_threads())
-    }
-
-    /// [`Simulation::evaluate`] over `spans` contiguous row spans, each on
-    /// its own copy of the global model. A row's logits do not depend on
-    /// which rows share its forward pass (`linalg.rs`'s bit-exactness
-    /// contract), and the spans' correct-counts are integers, so the result
-    /// is the same for every `spans`.
-    fn evaluate_spans(&self, spans: usize) -> f64 {
+    /// [`Env::evaluate`] over `spans` contiguous row spans, each on its own
+    /// copy of the model. A row's logits do not depend on which rows share
+    /// its forward pass (`linalg.rs`'s bit-exactness contract), and the
+    /// spans' correct-counts are integers, so the result is the same for
+    /// every `spans`.
+    fn evaluate_spans(&self, global: &[f32], spans: usize) -> f64 {
         // the workers borrow these fields, not `self` (which is not `Sync`)
-        let (template, global) = (&self.template, &self.global);
+        let template = &self.template;
         let (x, y) = (self.test_x.as_slice(), &self.test_y[..]);
         let sample_shape = &self.test_x.shape()[1..];
         let n = y.len();
@@ -1068,24 +558,384 @@ impl Simulation {
         });
         correct.iter().sum::<usize>() as f64 / n as f64
     }
+}
+
+/// A running federated simulation: the [`Env`] its configuration derives,
+/// the method, and the [`SimState`] every round mutates.
+pub struct Simulation {
+    pub(crate) env: Env,
+    pub(crate) algorithm: Box<dyn Algorithm>,
+    pub(crate) state: SimState,
+    /// Reused delta and wire buffers for the downlink round trip (scratch,
+    /// neither environment nor state).
+    broadcast_scratch: (Vec<f32>, Vec<u8>),
+}
+
+impl Simulation {
+    /// Build a simulation: [`Env::new`], the method's `on_init`, and the
+    /// initial [`SimState`] (the template's parameters as the global model,
+    /// no client resident).
+    ///
+    /// # Panics
+    /// Panics on inconsistent configuration (see [`Env::new`]).
+    pub fn new(cfg: SimulationConfig, mut algorithm: Box<dyn Algorithm>) -> Self {
+        let env = Env::new(&cfg);
+        let state = SimState::new(&env);
+        algorithm.on_init(cfg.n_clients, state.global.len());
+        Simulation {
+            env,
+            algorithm,
+            state,
+            broadcast_scratch: Default::default(),
+        }
+    }
+
+    /// The configuration.
+    pub fn config(&self) -> &SimulationConfig {
+        &self.env.cfg
+    }
+
+    /// The run state: everything a round mutates, and what a checkpoint
+    /// saves.
+    pub fn state(&self) -> &SimState {
+        &self.state
+    }
+
+    /// The partition (e.g. for label-histogram reporting).
+    pub fn partition(&self) -> &Partition {
+        &self.env.partition
+    }
+
+    /// Current global parameters.
+    pub fn global_params(&self) -> &[f32] {
+        &self.state.global
+    }
+
+    /// Per-client state (participation history etc.) — sparse: only
+    /// clients that have participated hold an entry.
+    pub fn client_states(&self) -> &ClientStateStore {
+        &self.state.states
+    }
+
+    /// Force every client's state resident (defaults where absent).
+    ///
+    /// Semantically a no-op — an explicit default entry behaves exactly
+    /// like absence — kept as the handle the sparse≡dense equivalence
+    /// tests use to run the engine against a dense store. O(N) memory;
+    /// never called by the engine itself.
+    pub fn prefill_dense_states(&mut self) {
+        self.state.states.prefill_dense();
+    }
+
+    /// Round records so far.
+    pub fn records(&self) -> &[RoundRecord] {
+        &self.state.records
+    }
+
+    /// Rounds completed.
+    pub fn rounds_done(&self) -> usize {
+        self.state.records.len()
+    }
+
+    /// Current virtual wall-clock in seconds (the last fold's instant).
+    pub fn virtual_time(&self) -> f64 {
+        self.state.records.last().map_or(0.0, |r| r.virtual_time)
+    }
+
+    /// Per-client device profiles in effect (derived lazily per client).
+    pub fn device_profiles(&self) -> DeviceProfiles {
+        self.env.profiles
+    }
+
+    /// A copy of the global model as a ready-to-use network.
+    pub fn global_model(&self) -> Sequential {
+        let mut net = self.env.template.clone();
+        net.set_params_flat(&self.state.global);
+        net
+    }
+
+    /// The Oort utility table (most recent observed mean loss per client).
+    pub fn utility_table(&self) -> &UtilityTable {
+        &self.state.utility
+    }
+
+    /// Per-client fold counts so far (clients that never folded are
+    /// absent), counted from the records' `selected` lists. Feeds the
+    /// participation-Gini diagnostic of the `scenario` bench.
+    pub fn participation_counts(&self) -> BTreeMap<usize, u64> {
+        let mut counts = BTreeMap::new();
+        for &c in self.state.records.iter().flat_map(|r| &r.selected) {
+            *counts.entry(c).or_insert(0) += 1;
+        }
+        counts
+    }
+
+    /// Execute one server step (sync: one communication round; semi-async:
+    /// one buffer fold); returns the new record. Reads the [`Env`], writes
+    /// the [`SimState`]: the round counter, the cumulative bytes and FLOPs
+    /// and the root clock all continue from the last record.
+    pub fn run_round(&mut self) -> &RoundRecord {
+        let Simulation {
+            env,
+            algorithm,
+            state,
+            broadcast_scratch,
+        } = self;
+        let cfg = &env.cfg;
+        let t = state.records.len() + 1;
+        let last = state.records.last();
+        let mut cum_comm_bytes = last.map_or(0.0, |r| r.cum_comm_bytes);
+        let mut cum_flops = last.map_or(0.0, |r| r.cum_flops);
+        let mut clock = VirtualClock::at(last.map_or(0.0, |r| r.virtual_time));
+
+        // accounting basis: every method exchanges |w| parameters each way
+        // plus the attach-cost extras. Each direction rides its own codec
+        // (dense = the identity codec), so the clock charges exactly the
+        // bytes the compressors would emit: the uplink encodes the update
+        // (+ uplink extras), the downlink encodes the broadcast delta —
+        // except for dense full-model sends (resyncs, joiners), charged at
+        // f32 width.
+        let n_params = state.global.len();
+        let cost = env.cost_model();
+        let attach = algorithm.attach_cost(&cost);
+        let f32_bytes = std::mem::size_of::<f32>();
+        let down_bytes = ((n_params + attach.down_params) * f32_bytes) as f64;
+        let dense_up_bytes = ((n_params + attach.up_params) * f32_bytes) as f64;
+        let up_bytes = (env.compressor.encoded_len(n_params)
+            + if attach.up_params > 0 {
+                env.compressor.encoded_len(attach.up_params)
+            } else {
+                0
+            }) as f64;
+        let delta_down = !env.down_codec.is_identity();
+        let delta_down_bytes = if delta_down {
+            (env.down_codec.encoded_len(n_params)
+                + if attach.down_params > 0 {
+                    env.down_codec.encoded_len(attach.down_params)
+                } else {
+                    0
+                }) as f64
+        } else {
+            down_bytes
+        };
+
+        // delta-broadcast step: encode the server's movement since the last
+        // broadcast through the downlink codec with error feedback, and
+        // advance the clients' reconstructed view by what survived the
+        // wire. Every `resync_interval`-th round sends the dense model
+        // instead, clearing the residual and bumping the sync epoch so
+        // every client re-anchors. Dense downlinks skip all of this — the
+        // pre-delta path, bit for bit.
+        let resync_round =
+            delta_down && cfg.resync_interval > 0 && t.is_multiple_of(cfg.resync_interval);
+        if delta_down {
+            if resync_round {
+                state.broadcast_view.clone_from(&state.global);
+                state.broadcast_last.clone_from(&state.global);
+                state.broadcast_residual = None;
+                state.broadcast_epoch += 1;
+            } else {
+                // the decoded delta lands in `broadcast_last`, which is
+                // re-based on the global model right after
+                let (delta, wire) = broadcast_scratch;
+                delta.clear();
+                delta.extend(
+                    state
+                        .global
+                        .iter()
+                        .zip(&state.broadcast_last)
+                        .map(|(g, l)| g - l),
+                );
+                error_feedback_into(
+                    env.down_codec.as_ref(),
+                    delta,
+                    &mut state.broadcast_residual,
+                    true,
+                    wire,
+                    &mut state.broadcast_last,
+                );
+                for (v, d) in state.broadcast_view.iter_mut().zip(&state.broadcast_last) {
+                    *v += d;
+                }
+                state.broadcast_last.clone_from(&state.global);
+            }
+        }
+
+        // edge links: the merged fold's summary uplink has the wire shape
+        // of one client upload and rides the uplink codec; under delta
+        // broadcasts the root additionally relays this round's broadcast
+        // (dense on resyncs, encoded delta otherwise) to each
+        // participating edge. Both are free when the single edge is
+        // colocated with the root (E = 1), and the relay adds exactly 0.0
+        // when the downlink is dense, keeping the legacy accounting
+        // bit-identical.
+        let edge_uplink_bytes = if cfg.edges > 1 { up_bytes } else { 0.0 };
+        let edge_down_bytes = if cfg.edges > 1 && delta_down {
+            if resync_round {
+                down_bytes
+            } else {
+                delta_down_bytes
+            }
+        } else {
+            0.0
+        };
+        let edge_uplink_secs = crate::costs::edge_uplink_secs(edge_uplink_bytes + edge_down_bytes);
+
+        let StepOutput {
+            fold,
+            folded,
+            participants,
+            edges_active,
+        } = {
+            let mut rt = RuntimeCtx {
+                exec: ClientExecutor {
+                    cfg,
+                    dataset: &env.dataset,
+                    partition: &env.partition,
+                    template: &env.template,
+                    compressor: env.compressor.as_ref(),
+                    down_delta: delta_down,
+                    resync_round,
+                    broadcast_epoch: state.broadcast_epoch,
+                },
+                sampler: &env.sampler,
+                profiles: &env.profiles,
+                algorithm: algorithm.as_ref(),
+                clock: &mut clock,
+                // under delta broadcasts clients train from their
+                // reconstructed view (what actually travelled the wire);
+                // the server's true model still aggregates and evaluates
+                global: if delta_down {
+                    &state.broadcast_view
+                } else {
+                    &state.global
+                },
+                states: &mut state.states,
+                comm_up_bytes: up_bytes,
+                comm_down_dense_bytes: down_bytes,
+                comm_down_delta_bytes: delta_down_bytes,
+                edges: &mut state.edges,
+                edge_uplink_secs,
+                utility: &state.utility,
+                deadline_secs: cfg.deadline_secs as f64,
+                scheduler: &mut state.scheduler,
+            };
+            env.scheduler.step(t, &mut rt)
+        };
+
+        let mut down_bytes_round = 0.0;
+        for o in &folded {
+            let down = if o.dense_down {
+                down_bytes
+            } else {
+                delta_down_bytes
+            };
+            down_bytes_round += down;
+            cum_comm_bytes += down + up_bytes;
+            cum_flops += o.train_flops;
+        }
+        // utility bookkeeping for Oort selection
+        for o in &folded {
+            state.utility.record(o.client, o.mean_loss);
+        }
+        // churn: evict departed clients' state (and utility) the round
+        // they leave — a pure function of the round counter, so a resumed
+        // run evicts identically
+        let avail = *env.sampler.availability();
+        if avail.has_churn() {
+            let departed: Vec<usize> = state
+                .states
+                .iter()
+                .map(|(c, _)| c)
+                .filter(|&c| avail.has_left(c, t))
+                .collect();
+            for c in departed {
+                drop(state.states.take(c));
+                state.utility.evict(c);
+            }
+        }
+        // each participating edge shipped one summary to the root, and —
+        // under delta broadcasts — received one broadcast relay (both add
+        // exactly 0.0 when E = 1, keeping the flat accounting bit-identical)
+        let edge_uplink_total = edges_active as f64 * edge_uplink_bytes;
+        let edge_down_total = edges_active as f64 * edge_down_bytes;
+        cum_comm_bytes += edge_uplink_total;
+        cum_comm_bytes += edge_down_total;
+        let mean_loss =
+            folded.iter().map(|o| o.mean_loss).sum::<f64>() / folded.len().max(1) as f64;
+        let mean_staleness =
+            folded.iter().map(|o| o.staleness as f64).sum::<f64>() / folded.len().max(1) as f64;
+
+        // the scheduler already streamed every arrival into `fold`; all
+        // that is left is the method's finish step
+        algorithm.server_finish(&mut state.global, fold, t);
+
+        let accuracy = if t.is_multiple_of(cfg.eval_every) {
+            Some(env.evaluate(&state.global))
+        } else {
+            None
+        };
+
+        state.records.push(RoundRecord {
+            round: t,
+            accuracy,
+            mean_loss,
+            cum_comm_bytes,
+            cum_flops,
+            selected: participants,
+            virtual_time: clock.now(),
+            mean_staleness,
+            comm_bytes_up: up_bytes * folded.len() as f64 + edge_uplink_total,
+            compression_ratio: dense_up_bytes / up_bytes,
+            comm_bytes_down: down_bytes_round + edge_down_total,
+            compression_ratio_down: if down_bytes_round > 0.0 {
+                down_bytes * folded.len() as f64 / down_bytes_round
+            } else {
+                1.0
+            },
+        });
+        state.records.last().expect("just pushed") // lint:allow(panic) — record pushed on the line above
+    }
+
+    /// Run all configured rounds (continues from wherever the simulation
+    /// currently is). Returns the full record history.
+    pub fn run(&mut self) -> &[RoundRecord] {
+        while self.state.records.len() < self.env.cfg.rounds {
+            self.run_round();
+        }
+        &self.state.records
+    }
+
+    /// Raise the configured round budget (used when extending a resumed
+    /// run); a target at or below the current budget is a no-op.
+    pub fn extend_rounds(&mut self, rounds: usize) {
+        if rounds > self.env.cfg.rounds {
+            self.env.cfg.rounds = rounds;
+        }
+    }
+
+    /// Test accuracy of the current global model (see [`Env::evaluate`]).
+    pub fn evaluate(&self) -> f64 {
+        self.env.evaluate(&self.state.global)
+    }
 
     /// First round at which the evaluated accuracy reached `target`
     /// (the paper's Tables IV and VI metric).
     pub fn rounds_to_accuracy(&self, target: f64) -> Option<usize> {
-        rounds_to_accuracy(&self.records, target)
+        rounds_to_accuracy(&self.state.records, target)
     }
 
     /// Virtual wall-clock (seconds) at which the evaluated accuracy first
     /// reached `target` — the straggler-sensitive companion of
     /// [`Simulation::rounds_to_accuracy`].
     pub fn time_to_accuracy(&self, target: f64) -> Option<f64> {
-        time_to_accuracy(&self.records, target)
+        time_to_accuracy(&self.state.records, target)
     }
 
     /// Mean accuracy over the last `n` evaluated rounds (the paper's Fig. 6
     /// "final accuracy" metric).
     pub fn final_accuracy(&self, n: usize) -> f64 {
-        final_accuracy(&self.records, n)
+        final_accuracy(&self.state.records, n)
     }
 }
 
@@ -1382,12 +1232,15 @@ mod tests {
                 let mut s =
                     Simulation::new(cfg, AlgorithmKind::FedAvg.build(&HyperParams::default()));
                 s.run_round();
-                let whole = evaluate_in_chunks(&mut s.global_model(), &s.test_x, &s.test_y, 200);
-                let tag = format!("{} n={}", model.name(), s.test_y.len());
+                let env = &s.env;
+                let whole =
+                    evaluate_in_chunks(&mut s.global_model(), &env.test_x, &env.test_y, 200);
+                let tag = format!("{} n={}", model.name(), env.test_y.len());
                 assert_eq!(s.evaluate(), whole, "{tag}");
                 // the last: more workers than rows
-                for spans in [1, 2, 3, 7, s.test_y.len() + 1] {
-                    assert_eq!(s.evaluate_spans(spans), whole, "{tag} spans={spans}");
+                for spans in [1, 2, 3, 7, env.test_y.len() + 1] {
+                    let spanned = env.evaluate_spans(s.global_params(), spans);
+                    assert_eq!(spanned, whole, "{tag} spans={spans}");
                 }
             }
         }
@@ -1661,7 +1514,7 @@ mod tests {
             }
         }
         // resync round 3 re-anchors: epoch bumped twice over 6 rounds
-        assert_eq!(delta.broadcast_state().3, 2);
+        assert_eq!(delta.state().broadcast_epoch, 2);
     }
 
     #[test]
@@ -1701,10 +1554,15 @@ mod tests {
         let mut s = Simulation::new(cfg, AlgorithmKind::FedAvg.build(&HyperParams::default()));
         for _ in 0..5 {
             s.run_round();
-            let (view, last, residual, _) = s.broadcast_state();
-            let zero = vec![0.0f32; view.len()];
-            let residual = residual.unwrap_or(&zero);
-            for ((&v, &r), &l) in view.iter().zip(residual).zip(last) {
+            let st = s.state();
+            let zero = vec![0.0f32; st.broadcast_view.len()];
+            let residual = st.broadcast_residual.as_ref().unwrap_or(&zero);
+            for ((&v, &r), &l) in st
+                .broadcast_view
+                .iter()
+                .zip(residual)
+                .zip(&st.broadcast_last)
+            {
                 assert!(
                     (v + r - l).abs() < 1e-3,
                     "view {v} + residual {r} != last broadcast {l}"

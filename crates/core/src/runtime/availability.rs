@@ -168,8 +168,8 @@ impl AvailabilityModel {
 /// the most informative updates; scoring them against device speed
 /// prioritizes "useful *and* fast". The table only ever holds clients that
 /// have participated (at most rounds × K entries), so it adds nothing to
-/// the population-scale memory axis, and it serializes into the v6
-/// checkpoint so a resumed run scores identically.
+/// the population-scale memory axis. It is part of the run state, so a
+/// resumed run scores identically.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UtilityTable {
     entries: BTreeMap<usize, f64>,
@@ -211,12 +211,12 @@ impl UtilityTable {
         self.entries.iter().map(|(&c, &l)| (c, l))
     }
 
-    /// Export as sorted `(client, mean_loss)` pairs (checkpoint capture).
+    /// Export as sorted `(client, mean_loss)` pairs.
     pub fn export(&self) -> Vec<(usize, f64)> {
         self.iter().collect()
     }
 
-    /// Rebuild from exported pairs (checkpoint restore).
+    /// Rebuild from exported pairs.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (usize, f64)>) -> Self {
         UtilityTable {
             entries: pairs.into_iter().collect(),

@@ -46,6 +46,12 @@ impl VirtualClock {
         VirtualClock { now: 0.0 }
     }
 
+    /// A clock at instant `t` (a round resuming from the last record's
+    /// virtual time).
+    pub fn at(t: f64) -> Self {
+        VirtualClock { now: t }
+    }
+
     /// Current virtual time in seconds.
     pub fn now(&self) -> f64 {
         self.now
@@ -63,11 +69,6 @@ impl VirtualClock {
         if t > self.now {
             self.now = t;
         }
-    }
-
-    /// Restore from a checkpointed instant.
-    pub fn restore(&mut self, t: f64) {
-        self.now = t;
     }
 }
 

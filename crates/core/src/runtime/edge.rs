@@ -60,6 +60,7 @@ use super::clock::VirtualClock;
 use super::scheduler::FoldStats;
 use crate::algorithms::{Algorithm, FoldPlan, LocalOutcome, ServerFold};
 use rayon::prelude::*;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One edge's partial result: its streaming fold plus the per-outcome
@@ -72,8 +73,9 @@ type PartialFold = (ServerFold, Vec<FoldStats>);
 type EdgeBucket = Vec<(usize, LocalOutcome)>;
 
 /// The edge-aggregator tier: `E` edge nodes, each with its own virtual
-/// clock, folding disjoint client shards before the root merge.
-#[derive(Debug, Clone)]
+/// clock, folding disjoint client shards before the root merge. The clocks
+/// are run state: the tier serializes as them.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EdgeTier {
     clocks: Vec<VirtualClock>,
 }
@@ -100,25 +102,9 @@ impl EdgeTier {
         client % self.clocks.len()
     }
 
-    /// Per-edge clock instants, in edge order (checkpoint capture).
-    pub fn clock_times(&self) -> Vec<f64> {
-        self.clocks.iter().map(|c| c.now()).collect()
-    }
-
-    /// Restore per-edge clocks from checkpointed instants.
-    ///
-    /// # Panics
-    /// Panics when `times.len() != E` (checkpoint restore validates the
-    /// length before calling this).
-    pub fn restore_times(&mut self, times: &[f64]) {
-        assert_eq!(
-            times.len(),
-            self.clocks.len(),
-            "edge clock count mismatch on restore"
-        );
-        for (clock, &t) in self.clocks.iter_mut().zip(times) {
-            clock.restore(t);
-        }
+    /// The per-edge clocks, in edge order.
+    pub fn clocks(&self) -> &[VirtualClock] {
+        &self.clocks
     }
 
     /// Advance the tier through one fold: each listed edge first catches up
@@ -324,7 +310,8 @@ mod tests {
         tier.advance_round(&mut root, &[(0, 3.0), (2, 5.0)], 0.5);
         assert_eq!(root.now(), 5.5);
         // idle edges stayed at 0 and catch up on their next participation
-        assert_eq!(tier.clock_times(), vec![3.5, 0.0, 5.5, 0.0]);
+        let times = |t: &EdgeTier| t.clocks().iter().map(VirtualClock::now).collect::<Vec<_>>();
+        assert_eq!(times(&tier), vec![3.5, 0.0, 5.5, 0.0]);
         tier.advance_round(&mut root, &[(1, 1.0)], 0.5);
         assert_eq!(root.now(), 7.0);
     }
@@ -334,10 +321,8 @@ mod tests {
         let mut tier = EdgeTier::new(3);
         let mut root = VirtualClock::new();
         tier.advance_round(&mut root, &[(0, 1.0), (1, 2.0), (2, 3.0)], 0.25);
-        let times = tier.clock_times();
-        let mut fresh = EdgeTier::new(3);
-        fresh.restore_times(&times);
-        assert_eq!(fresh.clock_times(), times);
+        let restored = EdgeTier::from_value(&tier.to_value()).unwrap();
+        assert_eq!(restored.clocks(), tier.clocks());
     }
 
     #[test]

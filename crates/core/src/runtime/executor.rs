@@ -92,8 +92,8 @@ pub struct ClientExecutor<'a> {
     /// receives the dense base regardless of its sync epoch).
     pub resync_round: bool,
     /// The server's current broadcast sync epoch: clients whose
-    /// [`ClientState::sync_epoch`] differs (joiners, restores from pre-delta
-    /// checkpoints) receive an on-demand dense base before any delta.
+    /// [`ClientState::sync_epoch`] differs (joiners, anyone who missed a
+    /// resync) receive an on-demand dense base before any delta.
     pub broadcast_epoch: u64,
 }
 
@@ -168,7 +168,7 @@ impl ClientExecutor<'_> {
                     let mut outcome = algorithm.local_train(&mut net, &data, state, &ctx);
                     // delta-downlink bookkeeping: a client whose view is not
                     // in the current sync epoch (first participation, churn
-                    // joiner, pre-delta restore) — or anyone on a resync
+                    // joiner, a missed resync) — or anyone on a resync
                     // round — received the dense base; everyone else got
                     // the compressed delta. Dense downlinks never touch the
                     // epoch, so the legacy state layout is preserved.

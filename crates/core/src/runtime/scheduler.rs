@@ -22,11 +22,9 @@
 //! assert_eq!(staleness_weight(0, 0.5), 1.0);
 //! assert!(staleness_weight(3, 0.5) < staleness_weight(1, 0.5));
 //!
-//! // schedulers are trait objects the engine picks by `RunMode`; the
-//! // stateless sync barrier exports an empty checkpoint state
+//! // schedulers are trait objects the engine picks by `RunMode`
 //! let sync: Box<dyn Scheduler> = Box::new(Synchronous);
 //! assert_eq!(sync.name(), "sync");
-//! assert!(sync.export_state().in_flight.is_empty());
 //! let semi: Box<dyn Scheduler> = Box::new(SemiAsync::new(2, 0.5));
 //! assert_eq!(semi.name(), "semiasync");
 //! ```
@@ -97,6 +95,10 @@ pub struct RuntimeCtx<'a> {
     /// scheduler ignores it: buffered aggregation already tolerates
     /// stragglers instead of dropping them.
     pub deadline_secs: f64,
+    /// The scheduler's position — fold counter, in-flight and buffered
+    /// jobs. It lives in the run state, so a checkpoint carries it and the
+    /// schedulers themselves keep only their parameters.
+    pub scheduler: &'a mut SchedulerState,
 }
 
 impl RuntimeCtx<'_> {
@@ -168,11 +170,11 @@ pub struct StepOutput {
     pub edges_active: usize,
 }
 
-/// Serializable scheduler position for checkpointing.
+/// Serializable scheduler position, part of the run state.
 ///
-/// [`Synchronous`] is stateless and exports the default (empty) state;
-/// [`SemiAsync`] carries its fold counter plus the in-flight and buffered
-/// jobs so a restored run replays bit-identically.
+/// [`Synchronous`] never touches it (it stays empty); [`SemiAsync`] keeps
+/// its fold counter plus the in-flight and buffered jobs here, so a
+/// restored run replays bit-identically.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SchedulerState {
     /// Completed folds (the global model's version).
@@ -204,16 +206,7 @@ pub trait Scheduler: Send {
 
     /// Execute one server step: train / collect arrivals, advance the
     /// virtual clock, and return the outcomes the engine should fold.
-    fn step(&mut self, t: usize, rt: &mut RuntimeCtx<'_>) -> StepOutput;
-
-    /// Export checkpointable state (stateless schedulers return the
-    /// default).
-    fn export_state(&self) -> SchedulerState {
-        SchedulerState::default()
-    }
-
-    /// Restore state previously produced by [`Scheduler::export_state`].
-    fn restore_state(&mut self, _state: SchedulerState) {}
+    fn step(&self, t: usize, rt: &mut RuntimeCtx<'_>) -> StepOutput;
 }
 
 /// The paper's synchronous round loop: select, train everyone, wait for the
@@ -226,7 +219,7 @@ impl Scheduler for Synchronous {
         "sync"
     }
 
-    fn step(&mut self, t: usize, rt: &mut RuntimeCtx<'_>) -> StepOutput {
+    fn step(&self, t: usize, rt: &mut RuntimeCtx<'_>) -> StepOutput {
         let selected = rt.sampler.participants_with(t, rt.utility);
         let outcomes = rt
             .exec
@@ -313,11 +306,10 @@ impl Scheduler for Synchronous {
 /// would need a per-job global snapshot at dispatch). All eight methods
 /// run and converge; interpret their server-state dynamics under high
 /// staleness with this in mind.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct SemiAsync {
     buffer_size: usize,
     staleness_exponent: f32,
-    state: SchedulerState,
 }
 
 impl SemiAsync {
@@ -335,12 +327,11 @@ impl SemiAsync {
         SemiAsync {
             buffer_size,
             staleness_exponent,
-            state: SchedulerState::default(),
         }
     }
 
     /// Dispatch `batch` at the current clock against the current global.
-    fn dispatch(&mut self, t: usize, rt: &mut RuntimeCtx<'_>, batch: &[usize]) {
+    fn dispatch(t: usize, rt: &mut RuntimeCtx<'_>, batch: &[usize]) {
         if batch.is_empty() {
             return;
         }
@@ -352,9 +343,9 @@ impl SemiAsync {
                 .profiles
                 .get(client)
                 .duration(outcome.train_flops, rt.comm_bytes_for(&outcome));
-            self.state.in_flight.push(Job {
+            rt.scheduler.in_flight.push(Job {
                 client,
-                dispatch_version: self.state.version,
+                dispatch_version: rt.scheduler.version,
                 finish: rt.clock.now() + duration,
                 outcome,
             });
@@ -364,9 +355,8 @@ impl SemiAsync {
     /// Index of the next arrival: earliest finish time, ties broken by
     /// client index (both deterministic), so pop order never depends on
     /// container order.
-    fn next_arrival(&self) -> Option<usize> {
-        self.state
-            .in_flight
+    fn next_arrival(in_flight: &[Job]) -> Option<usize> {
+        in_flight
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| {
@@ -384,43 +374,44 @@ impl Scheduler for SemiAsync {
         "semiasync"
     }
 
-    fn step(&mut self, t: usize, rt: &mut RuntimeCtx<'_>) -> StepOutput {
+    fn step(&self, t: usize, rt: &mut RuntimeCtx<'_>) -> StepOutput {
         // 1. top the in-flight pool back up from idle clients; the initial
         //    cohort (t = 1) is just the degenerate case of an empty pool.
         //    The busy list is at most K entries, and `select_idle` never
         //    materializes the idle pool, so this step costs O(K) — not
         //    O(N) — per fold.
         let desired = rt.exec.cfg.clients_per_round;
-        let deficit = desired.saturating_sub(self.state.in_flight.len());
+        let deficit = desired.saturating_sub(rt.scheduler.in_flight.len());
         if deficit > 0 {
-            let mut busy: Vec<usize> = self.state.in_flight.iter().map(|j| j.client).collect();
+            let mut busy: Vec<usize> = rt.scheduler.in_flight.iter().map(|j| j.client).collect();
             busy.sort_unstable();
             let picked = rt.sampler.select_idle(t, &busy, deficit);
             if !picked.is_empty() {
                 let batch = rt.sampler.apply_failures(t, &picked);
-                self.dispatch(t, rt, &batch);
+                Self::dispatch(t, rt, &batch);
             }
         }
 
         // 2. collect arrivals in virtual-completion order until the buffer
         //    holds B results (or nothing is left in flight).
-        while self.state.buffer.len() < self.buffer_size && !self.state.in_flight.is_empty() {
-            let idx = self.next_arrival().expect("in_flight non-empty"); // lint:allow(panic) — loop condition keeps in_flight non-empty
-            let job = self.state.in_flight.swap_remove(idx);
+        let jobs = &mut *rt.scheduler;
+        while jobs.buffer.len() < self.buffer_size && !jobs.in_flight.is_empty() {
+            let idx = Self::next_arrival(&jobs.in_flight).expect("in_flight non-empty"); // lint:allow(panic) — loop condition keeps in_flight non-empty
+            let job = jobs.in_flight.swap_remove(idx);
             rt.clock.advance_to(job.finish);
-            self.state.buffer.push(job);
+            jobs.buffer.push(job);
         }
 
         // 3. fold: a scalar pass assigns staleness/weights relative to the
         //    current version, then each arrival streams into the running
         //    weighted sum and its parameter vector is released.
-        for job in &mut self.state.buffer {
-            let staleness = self.state.version - job.dispatch_version;
+        for job in &mut jobs.buffer {
+            let staleness = jobs.version - job.dispatch_version;
             job.outcome.staleness = staleness;
             job.outcome.agg_weight = staleness_weight(staleness, self.staleness_exponent);
         }
-        let participants: Vec<usize> = self.state.buffer.iter().map(|j| j.client).collect();
-        let outcomes: Vec<LocalOutcome> = self.state.buffer.drain(..).map(|j| j.outcome).collect();
+        let participants: Vec<usize> = jobs.buffer.iter().map(|j| j.client).collect();
+        let outcomes: Vec<LocalOutcome> = jobs.buffer.drain(..).map(|j| j.outcome).collect();
         let (fold, folded, active) = rt.stream_fold(&participants, outcomes);
         // 4. with a real edge tier (E > 1) the participating edges relay
         //    the buffered arrivals: each catches up to the root (arrivals
@@ -431,21 +422,13 @@ impl Scheduler for SemiAsync {
             rt.edges
                 .advance_round(rt.clock, &durations, rt.edge_uplink_secs);
         }
-        self.state.version += 1;
+        rt.scheduler.version += 1;
         StepOutput {
             fold,
             folded,
             participants,
             edges_active: active.len(),
         }
-    }
-
-    fn export_state(&self) -> SchedulerState {
-        self.state.clone()
-    }
-
-    fn restore_state(&mut self, state: SchedulerState) {
-        self.state = state;
     }
 }
 

@@ -77,7 +77,8 @@ proptest! {
             let broadcast = sim.global_params().to_vec();
             sim.run_round();
             if t % resync == 0 {
-                let (view, last, residual, _) = sim.broadcast_state();
+                let st = sim.state();
+                let (view, last, residual) = (&st.broadcast_view[..], &st.broadcast_last[..], st.broadcast_residual.as_deref());
                 prop_assert_eq!(view, &broadcast[..], "round {t}: view != global at resync");
                 prop_assert_eq!(last, &broadcast[..], "round {t}: base != global at resync");
                 prop_assert!(residual.is_none(), "round {t}: residual survived resync");
@@ -100,7 +101,8 @@ proptest! {
         let mut sim = Simulation::new(cfg, AlgorithmKind::FedTrip.build(&HyperParams::default()));
         for _ in 0..6 {
             sim.run_round();
-            let (view, last, residual, _) = sim.broadcast_state();
+            let st = sim.state();
+            let (view, last, residual) = (&st.broadcast_view[..], &st.broadcast_last[..], st.broadcast_residual.as_deref());
             match residual {
                 Some(r) => {
                     for (i, ((v, e), l)) in view.iter().zip(r).zip(last).enumerate() {
@@ -145,7 +147,7 @@ proptest! {
                 .collect();
             let rec = sim.run_round().clone();
             let resync_round = resync > 0 && t % resync == 0;
-            let epoch = sim.broadcast_state().3;
+            let epoch = sim.state().broadcast_epoch;
             let mut predicted = 0.0f64;
             for &c in &rec.selected {
                 let on_epoch = epochs_before[c] == Some(epoch);
