@@ -24,7 +24,7 @@ fn main() {
     cli.banner("population_scale — round cost & resident state vs federation size (K = 4 fixed)");
 
     let rounds = 3;
-    let reps = cli.trials.max(1);
+    let reps = cli.trials;
     println!(
         "{:>9}  {:>14}  {:>16}  {:>15}  {:>13}",
         "N", "ms/round (med)", "resident entries", "resident shards", "MB/round"

@@ -9,19 +9,19 @@
 //! does), quantify "mixedness" with a nearest-neighbour separation score on
 //! the 2-d embedding, and print coarse ASCII scatter plots.
 
+use fedtrip_bench::cases::paper_cell;
 use fedtrip_bench::Cli;
 use fedtrip_core::algorithms::AlgorithmKind;
 use fedtrip_core::experiment::{ExperimentSpec, Scale};
 use fedtrip_data::loader::BatchIter;
 use fedtrip_data::partition::HeterogeneityKind;
 use fedtrip_data::synth::{DatasetKind, SyntheticVision};
-use fedtrip_metrics::report::save_json;
 use fedtrip_metrics::tsne::{Tsne, TsneConfig};
 use fedtrip_models::ModelKind;
 use fedtrip_tensor::optim::{Optimizer, SgdMomentum};
 use fedtrip_tensor::rng::Prng;
 use fedtrip_tensor::rng_tags;
-use serde_json::json;
+use serde_json::{json, Value};
 
 /// Mean ratio of nearest same-class distance to nearest other-class
 /// distance; lower means classes form tighter, cleaner groups.
@@ -87,25 +87,19 @@ fn local_round(
     net.params_flat()
 }
 
-fn main() {
-    let cli = Cli::parse();
-    cli.banner("Fig. 2 — t-SNE of global vs local feature representations");
-
+pub fn run(cli: &Cli) -> Value {
     let rounds_total = if cli.scale == Scale::Smoke { 6 } else { 50 };
     let checkpoint = if cli.scale == Scale::Smoke { 3 } else { 30 };
 
     let spec = ExperimentSpec {
-        dataset: DatasetKind::MnistLike,
-        model: ModelKind::Cnn,
-        heterogeneity: HeterogeneityKind::Dirichlet(0.5),
-        n_clients: 10,
-        clients_per_round: 4,
         rounds: rounds_total,
-        local_epochs: 1,
         algorithm: AlgorithmKind::FedAvg,
-        hyper: ExperimentSpec::paper_hyper(DatasetKind::MnistLike, ModelKind::Cnn),
-        scale: cli.scale,
-        seed: cli.seed,
+        ..paper_cell(
+            cli,
+            DatasetKind::MnistLike,
+            ModelKind::Cnn,
+            HeterogeneityKind::Dirichlet(0.5),
+        )
     };
     let mut sim = spec.build();
     let ds = SyntheticVision::new(DatasetKind::MnistLike, sim.config().seed);
@@ -165,7 +159,5 @@ fn main() {
     println!(
         "paper's qualitative ordering (global cleanest, older local most mixed):\n  global {s_global:.3} | local@final {s_local_final:.3} | local@mid {s_local_mid:.3}"
     );
-
-    let path = save_json(&cli.results, "fig2_tsne", &artifacts).expect("write artifact");
-    println!("artifact: {}", path.display());
+    Value::Array(artifacts)
 }

@@ -7,8 +7,7 @@
 use fedtrip_bench::Cli;
 use fedtrip_data::partition::{HeterogeneityKind, Partition};
 use fedtrip_data::synth::DatasetKind;
-use fedtrip_metrics::report::save_json;
-use serde_json::json;
+use serde_json::{json, Value};
 
 fn shade(frac: f64) -> char {
     match (frac * 5.0) as usize {
@@ -20,10 +19,7 @@ fn shade(frac: f64) -> char {
     }
 }
 
-fn main() {
-    let cli = Cli::parse();
-    cli.banner("Fig. 4 — client label distributions (MNIST, 10 clients)");
-
+pub fn run(cli: &Cli) -> Value {
     let spec = DatasetKind::MnistLike.spec();
     let mut artifacts = Vec::new();
     for h in [
@@ -53,7 +49,5 @@ fn main() {
         println!();
         artifacts.push(json!({"regime": h.name(), "skew": p.skew(), "histograms": hists}));
     }
-
-    let path = save_json(&cli.results, "fig4_partitions", &artifacts).expect("write artifact");
-    println!("artifact: {}", path.display());
+    Value::Array(artifacts)
 }

@@ -5,16 +5,15 @@
 //! with an exponential moving average too) and an ASCII sparkline per
 //! method; full per-round data goes to the JSON artifact.
 
-use fedtrip_bench::cases::METHODS;
+use fedtrip_bench::cases::{paper_cell, METHODS};
 use fedtrip_bench::cells::run_or_load;
 use fedtrip_bench::Cli;
 use fedtrip_core::experiment::ExperimentSpec;
 use fedtrip_data::partition::HeterogeneityKind;
 use fedtrip_data::synth::DatasetKind;
-use fedtrip_metrics::report::save_json;
 use fedtrip_metrics::stats::ema;
 use fedtrip_models::ModelKind;
-use serde_json::json;
+use serde_json::{json, Value};
 
 fn sparkline(values: &[f64]) -> String {
     const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -27,10 +26,7 @@ fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
-fn main() {
-    let cli = Cli::parse();
-    cli.banner("Fig. 5 — CNN convergence curves under Dir-0.5 and Orthogonal-5");
-
+pub fn run(cli: &Cli) -> Value {
     let panels = [
         (DatasetKind::MnistLike, HeterogeneityKind::Dirichlet(0.5)),
         (DatasetKind::FmnistLike, HeterogeneityKind::Dirichlet(0.5)),
@@ -47,19 +43,11 @@ fn main() {
             dataset.name(),
             het.name()
         );
+        let base = paper_cell(cli, dataset, ModelKind::Cnn, het);
         for &alg in &METHODS {
             let spec = ExperimentSpec {
-                dataset,
-                model: ModelKind::Cnn,
-                heterogeneity: het,
-                n_clients: 10,
-                clients_per_round: 4,
-                rounds: 100,
-                local_epochs: 1,
                 algorithm: alg,
-                hyper: ExperimentSpec::paper_hyper(dataset, ModelKind::Cnn),
-                scale: cli.scale,
-                seed: cli.seed,
+                ..base
             };
             let cell = run_or_load(&cli.results, &spec);
             let accs = cell.accuracies();
@@ -80,7 +68,5 @@ fn main() {
         }
         println!();
     }
-
-    let path = save_json(&cli.results, "fig5_convergence", &artifacts).expect("write artifact");
-    println!("artifact: {}", path.display());
+    Value::Array(artifacts)
 }

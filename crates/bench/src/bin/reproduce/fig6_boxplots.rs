@@ -7,21 +7,18 @@
 //! single trial the box degenerates to a point, which is still enough to
 //! compare medians.
 
-use fedtrip_bench::cases::METHODS;
+use fedtrip_bench::cases::{paper_cell, METHODS};
 use fedtrip_bench::cells::run_trials;
 use fedtrip_bench::Cli;
 use fedtrip_core::experiment::ExperimentSpec;
 use fedtrip_data::partition::HeterogeneityKind;
 use fedtrip_data::synth::DatasetKind;
-use fedtrip_metrics::report::{save_json, Table};
+use fedtrip_metrics::report::Table;
 use fedtrip_metrics::stats::BoxplotSummary;
 use fedtrip_models::ModelKind;
-use serde_json::json;
+use serde_json::{json, Value};
 
-fn main() {
-    let cli = Cli::parse();
-    cli.banner("Fig. 6 — final-accuracy boxplots on FMNIST (CNN and MLP)");
-
+pub fn run(cli: &Cli) -> Value {
     let heterogeneities = [
         HeterogeneityKind::Dirichlet(0.5),
         HeterogeneityKind::Dirichlet(0.1),
@@ -37,19 +34,11 @@ fn main() {
                 format!("{} / {}", model.name(), het.name()),
                 &["Method", "final acc % (min [q1|med|q3] max over trials)"],
             );
+            let base = paper_cell(cli, DatasetKind::FmnistLike, model, het);
             for &alg in &METHODS {
                 let spec = ExperimentSpec {
-                    dataset: DatasetKind::FmnistLike,
-                    model,
-                    heterogeneity: het,
-                    n_clients: 10,
-                    clients_per_round: 4,
-                    rounds: 100,
-                    local_epochs: 1,
                     algorithm: alg,
-                    hyper: ExperimentSpec::paper_hyper(DatasetKind::FmnistLike, model),
-                    scale: cli.scale,
-                    seed: cli.seed,
+                    ..base
                 };
                 let cells = run_trials(&cli.results, &spec, cli.trials);
                 let finals: Vec<f64> = cells.iter().map(|c| c.final_accuracy(10) * 100.0).collect();
@@ -66,7 +55,5 @@ fn main() {
             println!("{}", t.render());
         }
     }
-
-    let path = save_json(&cli.results, "fig6_boxplots", &artifacts).expect("write artifact");
-    println!("artifact: {}", path.display());
+    Value::Array(artifacts)
 }

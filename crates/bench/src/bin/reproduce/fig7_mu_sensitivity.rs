@@ -5,22 +5,20 @@
 //! Also runs the `xi` ablation DESIGN.md calls out: the paper's
 //! participation-gap `xi` versus a fixed `xi = 1`.
 
+use fedtrip_bench::cases::paper_cell;
 use fedtrip_bench::cells::run_or_load;
 use fedtrip_bench::Cli;
-use fedtrip_core::algorithms::{AlgorithmKind, XiMode};
+use fedtrip_core::algorithms::{HyperParams, XiMode};
 use fedtrip_core::experiment::ExperimentSpec;
 use fedtrip_data::partition::HeterogeneityKind;
 use fedtrip_data::synth::DatasetKind;
-use fedtrip_metrics::report::{save_json, Table};
+use fedtrip_metrics::report::Table;
 use fedtrip_models::ModelKind;
-use serde_json::json;
+use serde_json::{json, Value};
 
 const MUS: [f32; 7] = [0.1, 0.4, 0.8, 1.2, 1.5, 2.0, 2.5];
 
-fn main() {
-    let cli = Cli::parse();
-    cli.banner("Fig. 7 — FedTrip mu sensitivity (+ xi ablation)");
-
+pub fn run(cli: &Cli) -> Value {
     let panels: [(DatasetKind, ModelKind, HeterogeneityKind); 4] = [
         (
             DatasetKind::MnistLike,
@@ -53,24 +51,15 @@ fn main() {
             het.name()
         );
         // reference plateau at the paper's mu to define the rounds target
+        let base = paper_cell(cli, dataset, model, het);
         let mut results = Vec::new();
         for &mu in &MUS {
             let spec = ExperimentSpec {
-                dataset,
-                model,
-                heterogeneity: het,
-                n_clients: 10,
-                clients_per_round: 4,
-                rounds: 100,
-                local_epochs: 1,
-                algorithm: AlgorithmKind::FedTrip,
-                hyper: {
-                    let mut h = ExperimentSpec::paper_hyper(dataset, model);
-                    h.fedtrip_mu = mu;
-                    h
+                hyper: HyperParams {
+                    fedtrip_mu: mu,
+                    ..base.hyper
                 },
-                scale: cli.scale,
-                seed: cli.seed,
+                ..base
             };
             let cell = run_or_load(&cli.results, &spec);
             // "final accuracy" in Fig. 7 = best test accuracy over training
@@ -113,6 +102,12 @@ fn main() {
     // xi ablation: inverse-gap (the faithful reading of the paper's theory)
     // vs raw gap (the literal prose reading — diverges) vs fixed xi = 1
     println!("--- xi ablation (CNN/MNIST, Dir-0.5, mu = 0.4) ---");
+    let base = paper_cell(
+        cli,
+        DatasetKind::MnistLike,
+        ModelKind::Cnn,
+        HeterogeneityKind::Dirichlet(0.5),
+    );
     let mut t = Table::new("xi mode", &["mode", "best acc %", "final acc %"]);
     for (label, mode) in [
         ("1/gap (paper theory)", XiMode::Gap),
@@ -120,22 +115,12 @@ fn main() {
         ("fixed 1.0", XiMode::Fixed(1.0)),
     ] {
         let spec = ExperimentSpec {
-            dataset: DatasetKind::MnistLike,
-            model: ModelKind::Cnn,
-            heterogeneity: HeterogeneityKind::Dirichlet(0.5),
-            n_clients: 10,
-            clients_per_round: 4,
-            rounds: 100,
-            local_epochs: 1,
-            algorithm: AlgorithmKind::FedTrip,
-            hyper: {
-                let mut h = ExperimentSpec::paper_hyper(DatasetKind::MnistLike, ModelKind::Cnn);
-                h.fedtrip_mu = 0.4;
-                h.xi_mode = mode;
-                h
+            hyper: HyperParams {
+                fedtrip_mu: 0.4,
+                xi_mode: mode,
+                ..base.hyper
             },
-            scale: cli.scale,
-            seed: cli.seed,
+            ..base
         };
         let cell = run_or_load(&cli.results, &spec);
         let best = cell
@@ -150,7 +135,5 @@ fn main() {
         artifacts.push(json!({"ablation": "xi", "mode": label, "best_accuracy": best}));
     }
     println!("{}", t.render());
-
-    let path = save_json(&cli.results, "fig7_mu_sensitivity", &artifacts).expect("write artifact");
-    println!("artifact: {}", path.display());
+    Value::Array(artifacts)
 }

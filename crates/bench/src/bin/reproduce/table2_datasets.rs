@@ -7,12 +7,10 @@
 use fedtrip_bench::Cli;
 use fedtrip_data::partition::{HeterogeneityKind, Partition};
 use fedtrip_data::synth::{DatasetKind, SampleRef, SyntheticVision};
-use fedtrip_metrics::report::{save_json, Table};
+use fedtrip_metrics::report::Table;
+use serde_json::Value;
 
-fn main() {
-    let cli = Cli::parse();
-    cli.banner("Table II — description of datasets");
-
+pub fn run(cli: &Cli) -> Value {
     let mut table = Table::new(
         "Table II (paper values match by construction)",
         &[
@@ -80,7 +78,5 @@ fn main() {
         ]);
     }
     println!("{}", skew_table.render());
-
-    let path = save_json(&cli.results, "table2_datasets", &artifacts).expect("write artifact");
-    println!("artifact: {}", path.display());
+    serde_json::to_value(&artifacts)
 }

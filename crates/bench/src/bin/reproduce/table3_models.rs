@@ -6,14 +6,11 @@
 //! factor of 10; we report true parameter counts.)
 
 use fedtrip_bench::Cli;
-use fedtrip_metrics::report::{save_json, Table};
+use fedtrip_metrics::report::Table;
 use fedtrip_models::{ModelKind, ModelStats};
-use serde_json::json;
+use serde_json::{json, Value};
 
-fn main() {
-    let cli = Cli::parse();
-    cli.banner("Table III — model communication / parameters / MFLOPs");
-
+pub fn run(cli: &Cli) -> Value {
     // (model, input, classes, paper comm MB, paper params M, paper MFLOPs)
     let rows: Vec<(ModelKind, [usize; 3], usize, f64, f64, f64)> = vec![
         (ModelKind::Mlp, [1, 28, 28], 10, 0.3, 0.8, 0.08),
@@ -72,6 +69,5 @@ fn main() {
         }));
     }
     println!("{}", table.render());
-    let path = save_json(&cli.results, "table3_models", &artifacts).expect("write artifact");
-    println!("artifact: {}", path.display());
+    Value::Array(artifacts)
 }

@@ -6,43 +6,17 @@
 //! target and an *adaptive* target (90% of the best final accuracy across
 //! methods), which keeps the cross-method ordering comparable at any scale.
 
-use fedtrip_bench::cases::{adaptive_target, CASES, METHODS};
-use fedtrip_bench::cells::{run_or_load, CellResult};
+use fedtrip_bench::cases::{run_methods, CASES, METHODS};
 use fedtrip_bench::Cli;
-use fedtrip_core::experiment::{ExperimentSpec, Scale};
-use fedtrip_data::partition::HeterogeneityKind;
-use fedtrip_metrics::report::{save_json, Table};
-use serde_json::json;
+use fedtrip_core::experiment::Scale;
+use fedtrip_metrics::report::Table;
+use serde_json::{json, Value};
 
-fn main() {
-    let cli = Cli::parse();
-    cli.banner("Table IV — communication rounds to target accuracy (Dir-0.5, 4-of-10)");
-
+pub fn run(cli: &Cli) -> Value {
     let mut artifacts = Vec::new();
     for case in &CASES {
         println!("--- {} ---", case.name);
-        let cells: Vec<CellResult> = METHODS
-            .iter()
-            .map(|&alg| {
-                let spec = ExperimentSpec {
-                    dataset: case.dataset,
-                    model: case.model,
-                    heterogeneity: HeterogeneityKind::Dirichlet(0.5),
-                    n_clients: 10,
-                    clients_per_round: 4,
-                    rounds: 100,
-                    local_epochs: 1,
-                    algorithm: alg,
-                    hyper: ExperimentSpec::paper_hyper(case.dataset, case.model),
-                    scale: cli.scale,
-                    seed: cli.seed,
-                };
-                run_or_load(&cli.results, &spec)
-            })
-            .collect();
-
-        let finals: Vec<f64> = cells.iter().map(|c| c.final_accuracy(10)).collect();
-        let adaptive = adaptive_target(&finals, 0.90);
+        let (cells, finals, adaptive) = run_methods(&cli.results, &case.spec(cli));
         let abs_target = if cli.scale == Scale::Paper {
             case.paper_target
         } else {
@@ -100,7 +74,5 @@ fn main() {
         }
         println!("{}", t.render());
     }
-
-    let path = save_json(&cli.results, "table4_comm_rounds", &artifacts).expect("write artifact");
-    println!("artifact: {}", path.display());
+    Value::Array(artifacts)
 }

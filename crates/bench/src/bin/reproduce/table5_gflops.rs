@@ -3,46 +3,19 @@
 //!
 //! Reuses the cached cells of Table IV (same runs, different unit): the
 //! engine accumulates each client's model FLOPs plus the Appendix-A attach
-//! FLOPs per round, and this binary reads the cumulative counter at the
+//! FLOPs per round, and this claim reads the cumulative counter at the
 //! round where the target is first reached.
 
-use fedtrip_bench::cases::{adaptive_target, CASES, METHODS};
-use fedtrip_bench::cells::{run_or_load, CellResult};
+use fedtrip_bench::cases::{run_methods, CASES, METHODS};
 use fedtrip_bench::Cli;
-use fedtrip_core::experiment::ExperimentSpec;
-use fedtrip_data::partition::HeterogeneityKind;
-use fedtrip_metrics::report::{save_json, Table};
-use serde_json::json;
+use fedtrip_metrics::report::Table;
+use serde_json::{json, Value};
 
-fn main() {
-    let cli = Cli::parse();
-    cli.banner("Table V — GFLOPs of local computation to reach target accuracy");
-
+pub fn run(cli: &Cli) -> Value {
     let mut artifacts = Vec::new();
     for case in &CASES {
         println!("--- {} ---", case.name);
-        let cells: Vec<CellResult> = METHODS
-            .iter()
-            .map(|&alg| {
-                let spec = ExperimentSpec {
-                    dataset: case.dataset,
-                    model: case.model,
-                    heterogeneity: HeterogeneityKind::Dirichlet(0.5),
-                    n_clients: 10,
-                    clients_per_round: 4,
-                    rounds: 100,
-                    local_epochs: 1,
-                    algorithm: alg,
-                    hyper: ExperimentSpec::paper_hyper(case.dataset, case.model),
-                    scale: cli.scale,
-                    seed: cli.seed,
-                };
-                run_or_load(&cli.results, &spec)
-            })
-            .collect();
-
-        let finals: Vec<f64> = cells.iter().map(|c| c.final_accuracy(10)).collect();
-        let adaptive = adaptive_target(&finals, 0.90);
+        let (cells, _, adaptive) = run_methods(&cli.results, &case.spec(cli));
 
         let mut t = Table::new(
             format!(
@@ -87,7 +60,5 @@ fn main() {
         }
         println!("{}", t.render());
     }
-
-    let path = save_json(&cli.results, "table5_gflops", &artifacts).expect("write artifact");
-    println!("artifact: {}", path.display());
+    Value::Array(artifacts)
 }

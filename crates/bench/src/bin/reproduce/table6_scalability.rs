@@ -6,15 +6,14 @@
 //! the regime where the paper reports FedTrip's largest savings and MOON's
 //! degradation.
 
-use fedtrip_bench::cases::{adaptive_target, METHODS};
-use fedtrip_bench::cells::{run_or_load, CellResult};
+use fedtrip_bench::cases::{paper_cell, run_methods, METHODS};
 use fedtrip_bench::Cli;
 use fedtrip_core::experiment::ExperimentSpec;
 use fedtrip_data::partition::HeterogeneityKind;
 use fedtrip_data::synth::DatasetKind;
-use fedtrip_metrics::report::{save_json, Table};
+use fedtrip_metrics::report::Table;
 use fedtrip_models::ModelKind;
-use serde_json::json;
+use serde_json::{json, Value};
 
 struct Cell6 {
     dataset: DatasetKind,
@@ -24,10 +23,7 @@ struct Cell6 {
     paper_fedtrip_rounds: usize,
 }
 
-fn main() {
-    let cli = Cli::parse();
-    cli.banner("Table VI — rounds to target with 4-of-50 clients (CNN)");
-
+pub fn run(cli: &Cli) -> Value {
     let cases = [
         Cell6 {
             dataset: DatasetKind::MnistLike,
@@ -76,27 +72,11 @@ fn main() {
             case.paper_target * 100.0,
             case.paper_fedtrip_rounds
         );
-        let cells: Vec<CellResult> = METHODS
-            .iter()
-            .map(|&alg| {
-                let spec = ExperimentSpec {
-                    dataset: case.dataset,
-                    model: ModelKind::Cnn,
-                    heterogeneity: case.het,
-                    n_clients: 50,
-                    clients_per_round: 4,
-                    rounds: 100,
-                    local_epochs: 1,
-                    algorithm: alg,
-                    hyper: ExperimentSpec::paper_hyper(case.dataset, ModelKind::Cnn),
-                    scale: cli.scale,
-                    seed: cli.seed,
-                };
-                run_or_load(&cli.results, &spec)
-            })
-            .collect();
-        let finals: Vec<f64> = cells.iter().map(|c| c.final_accuracy(10)).collect();
-        let adaptive = adaptive_target(&finals, 0.90);
+        let spec = ExperimentSpec {
+            n_clients: 50,
+            ..paper_cell(cli, case.dataset, ModelKind::Cnn, case.het)
+        };
+        let (cells, finals, adaptive) = run_methods(&cli.results, &spec);
         let trip = cells[0].rounds_to(adaptive);
         let mut t = Table::new(
             format!("adaptive target {:.1}%", adaptive * 100.0),
@@ -129,7 +109,5 @@ fn main() {
         }
         println!("{}", t.render());
     }
-
-    let path = save_json(&cli.results, "table6_scalability", &artifacts).expect("write artifact");
-    println!("artifact: {}", path.display());
+    Value::Array(artifacts)
 }

@@ -2,21 +2,24 @@
 //! rounds 10 and 20 when clients train 5 or 10 local epochs per round
 //! (CNN on MNIST, Dir-0.5, 4-of-10, FedTrip mu = 0.4).
 
-use fedtrip_bench::cases::METHODS;
+use fedtrip_bench::cases::{paper_cell, METHODS};
 use fedtrip_bench::cells::run_or_load;
 use fedtrip_bench::Cli;
 use fedtrip_core::algorithms::HyperParams;
 use fedtrip_core::experiment::ExperimentSpec;
 use fedtrip_data::partition::HeterogeneityKind;
 use fedtrip_data::synth::DatasetKind;
-use fedtrip_metrics::report::{save_json, Table};
+use fedtrip_metrics::report::Table;
 use fedtrip_models::ModelKind;
-use serde_json::json;
+use serde_json::{json, Value};
 
-fn main() {
-    let cli = Cli::parse();
-    cli.banner("Table VII — accuracy at rounds 10/20 with 5 and 10 local epochs");
-
+pub fn run(cli: &Cli) -> Value {
+    let base = paper_cell(
+        cli,
+        DatasetKind::MnistLike,
+        ModelKind::Cnn,
+        HeterogeneityKind::Dirichlet(0.5),
+    );
     // paper values: rows (epochs, round) x methods in METHODS order
     let paper: [((usize, usize), [f64; 6]); 4] = [
         ((5, 10), [96.36, 95.49, 93.08, 84.55, 95.26, 87.93]),
@@ -34,20 +37,14 @@ fn main() {
         );
         for (i, &alg) in METHODS.iter().enumerate() {
             let spec = ExperimentSpec {
-                dataset: DatasetKind::MnistLike,
-                model: ModelKind::Cnn,
-                heterogeneity: HeterogeneityKind::Dirichlet(0.5),
-                n_clients: 10,
-                clients_per_round: 4,
                 rounds: 20,
                 local_epochs: epochs,
                 algorithm: alg,
                 hyper: HyperParams {
                     fedtrip_mu: 0.4, // §V-E fixes mu = 0.4 for this study
-                    ..ExperimentSpec::paper_hyper(DatasetKind::MnistLike, ModelKind::Cnn)
+                    ..base.hyper
                 },
-                scale: cli.scale,
-                seed: cli.seed,
+                ..base
             };
             let cell = run_or_load(&cli.results, &spec);
             let at10 = cell.accuracy_at(10).unwrap_or(0.0) * 100.0;
@@ -72,7 +69,5 @@ fn main() {
         }
         println!("{}", t.render());
     }
-
-    let path = save_json(&cli.results, "table7_local_epochs", &artifacts).expect("write artifact");
-    println!("artifact: {}", path.display());
+    Value::Array(artifacts)
 }

@@ -8,9 +8,9 @@
 use fedtrip_bench::Cli;
 use fedtrip_core::algorithms::{AlgorithmKind, HyperParams};
 use fedtrip_core::costs::CostModel;
-use fedtrip_metrics::report::{save_json, Table};
+use fedtrip_metrics::report::Table;
 use fedtrip_models::{ModelKind, ModelStats};
-use serde_json::json;
+use serde_json::{json, Value};
 
 fn cost_model(kind: ModelKind, shape: [usize; 3], classes: usize, samples: usize) -> CostModel {
     let net = kind.build(&shape, classes, 0);
@@ -25,10 +25,7 @@ fn cost_model(kind: ModelKind, shape: [usize; 3], classes: usize, samples: usize
     }
 }
 
-fn main() {
-    let cli = Cli::parse();
-    cli.banner("Table VIII — attaching-operation cost model (Appendix A)");
-
+pub fn run(_: &Cli) -> Value {
     let symbolic = [
         ("SCAFFOLD", "2(K+1)|w| + n(FP+BP)", "2|w|"),
         ("MimeLite", "n(FP+BP)", "2|w|"),
@@ -103,7 +100,5 @@ fn main() {
         "measured ratios: {:.1}x (MLP), {:.1}x (CNN), {:.1}x (AlexNet)\n",
         moon_ratios[0], moon_ratios[1], moon_ratios[2]
     );
-
-    let path = save_json(&cli.results, "table8_cost_model", &artifacts).expect("write artifact");
-    println!("artifact: {}", path.display());
+    Value::Array(artifacts)
 }

@@ -1,8 +1,14 @@
-//! The paper's Table IV / Table V experiment cases and reported values.
+//! The paper's Table IV / Table V experiment cases and reported values,
+//! plus the paper-cell spec and the six-method sweep the drivers share.
 
+use crate::cells::{run_or_load, CellResult};
+use crate::Cli;
 use fedtrip_core::algorithms::AlgorithmKind;
+use fedtrip_core::experiment::ExperimentSpec;
+use fedtrip_data::partition::HeterogeneityKind;
 use fedtrip_data::synth::DatasetKind;
 use fedtrip_models::ModelKind;
+use std::path::Path;
 
 /// One column of Table IV: a (model, dataset) pair with its target accuracy.
 #[derive(Debug, Clone, Copy)]
@@ -19,6 +25,18 @@ pub struct Case {
     pub paper_rounds: [Option<usize>; 6],
     /// GFLOPs-to-target the paper reports (Table V), in [`METHODS`] order.
     pub paper_gflops: [f64; 6],
+}
+
+impl Case {
+    /// The case's [`paper_cell`] under Dir-0.5.
+    pub fn spec(&self, cli: &Cli) -> ExperimentSpec {
+        paper_cell(
+            cli,
+            self.dataset,
+            self.model,
+            HeterogeneityKind::Dirichlet(0.5),
+        )
+    }
 }
 
 /// Method order used by the paper's tables.
@@ -93,6 +111,39 @@ pub fn adaptive_target(final_accuracies: &[f64], fraction: f64) -> f64 {
         .copied()
         .fold(f64::NEG_INFINITY, f64::max);
     (best * fraction).max(0.0)
+}
+
+/// [`ExperimentSpec::quickstart`]'s cell (FedTrip, 4-of-10, 100 rounds, 1
+/// local epoch) on the given data with the paper's hyper-parameters, at the
+/// CLI's scale and seed. Callers vary the rest by struct update.
+pub fn paper_cell(
+    cli: &Cli,
+    dataset: DatasetKind,
+    model: ModelKind,
+    heterogeneity: HeterogeneityKind,
+) -> ExperimentSpec {
+    ExperimentSpec {
+        dataset,
+        model,
+        heterogeneity,
+        hyper: ExperimentSpec::paper_hyper(dataset, model),
+        scale: cli.scale,
+        seed: cli.seed,
+        ..ExperimentSpec::quickstart()
+    }
+}
+
+/// Run (or load) `spec` once per [`METHODS`] entry, in that order. Returns
+/// the cells, each cell's mean accuracy over its last 10 evaluated rounds,
+/// and the [`adaptive_target`] at 90% of the best of those.
+pub fn run_methods(results: &Path, spec: &ExperimentSpec) -> (Vec<CellResult>, Vec<f64>, f64) {
+    let cells: Vec<CellResult> = METHODS
+        .iter()
+        .map(|&algorithm| run_or_load(results, &ExperimentSpec { algorithm, ..*spec }))
+        .collect();
+    let finals: Vec<f64> = cells.iter().map(|c| c.final_accuracy(10)).collect();
+    let adaptive = adaptive_target(&finals, 0.90);
+    (cells, finals, adaptive)
 }
 
 #[cfg(test)]

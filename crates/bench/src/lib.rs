@@ -1,31 +1,28 @@
 //! # fedtrip-bench
 //!
-//! Experiment drivers for the paper's evaluation. Each table and figure has
-//! a dedicated binary (`table4_comm_rounds`, `fig5_convergence`, ...), and
-//! the runtime extensions have their own: `time_to_accuracy` (sync-barrier
-//! vs semi-async virtual wall-clock under heterogeneous device profiles),
-//! `comm_efficiency` (upload codec × device spread, scored by virtual
-//! seconds to an adaptive accuracy target), `population_scale` (round cost
-//! and resident state vs federation size, N up to 100k), and `bench_gate`
-//! (the CI bench-regression gate over the [`population`] harness); all of
-//! them share:
+//! Experiment drivers for the paper's evaluation. One `reproduce` binary
+//! regenerates every table and figure (`reproduce table4_comm_rounds`,
+//! `reproduce all`, ...), and the runtime extensions have their own:
+//! `time_to_accuracy` (sync-barrier vs semi-async virtual wall-clock under
+//! heterogeneous device profiles), `comm_efficiency` (upload codec × device
+//! spread, scored by virtual seconds to an adaptive accuracy target),
+//! `population_scale` (round cost and resident state vs federation size, N
+//! up to 100k), and `bench_gate` (the CI bench-regression gate over the
+//! [`population`] harness); all of them share:
 //!
 //! * [`Cli`] — a tiny flag parser (`--scale smoke|default|paper`,
 //!   `--trials N`, `--seed S`, `--results DIR`),
+//! * [`cases`] — the paper's cases, the default paper cell and the
+//!   six-method sweep,
 //! * [`cells`] — a cached cell runner: a *cell* is one
 //!   (dataset, model, heterogeneity, participation, method) simulation, and
-//!   its round records are cached as JSON under `results/` so that binaries
+//!   its round records are cached as JSON under `results/` so that claims
 //!   sharing cells (Table IV and Table V, Fig. 5, ...) never re-run them.
 //!
 //! Run everything at default scale with:
 //!
 //! ```bash
-//! for b in table2_datasets table3_models table4_comm_rounds table5_gflops \
-//!          table6_scalability table7_local_epochs table8_cost_model \
-//!          fig2_tsne fig4_partitions fig5_convergence fig6_boxplots \
-//!          fig7_mu_sensitivity; do
-//!   cargo run --release -p fedtrip-bench --bin $b
-//! done
+//! cargo run --release -p fedtrip-bench --bin reproduce -- all
 //! ```
 
 #![forbid(unsafe_code)]
@@ -62,54 +59,46 @@ impl Default for Cli {
     }
 }
 
+/// The experiment flags, printed after every parse error.
+pub const USAGE: &str = "--scale smoke|default|paper --trials N --seed S --results DIR";
+
 impl Cli {
-    /// Parse `std::env::args()`. Unknown flags abort with a usage message.
-    pub fn parse() -> Cli {
+    /// Parse flags (program name already stripped). `--trials` must be at
+    /// least 1: every trial summary needs a cell to summarise.
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
         let mut cli = Cli::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let need_val = |i: usize| -> &str {
-                args.get(i + 1).map(|s| s.as_str()).unwrap_or_else(|| {
-                    eprintln!("missing value for {}", args[i]);
-                    std::process::exit(2);
-                })
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || {
+                args.next()
+                    .ok_or_else(|| format!("missing value for {flag}"))
             };
-            match args[i].as_str() {
+            match flag.as_str() {
                 "--scale" => {
-                    cli.scale = Scale::parse(need_val(i)).unwrap_or_else(|| {
-                        eprintln!("bad --scale (want smoke|default|paper)");
-                        std::process::exit(2);
-                    });
-                    i += 2;
+                    cli.scale =
+                        Scale::parse(&value()?).ok_or("bad --scale (want smoke|default|paper)")?
                 }
                 "--trials" => {
-                    cli.trials = need_val(i).parse().unwrap_or_else(|_| {
-                        eprintln!("bad --trials");
-                        std::process::exit(2);
-                    });
-                    i += 2;
+                    cli.trials = value()?
+                        .parse()
+                        .ok()
+                        .filter(|&t| t > 0)
+                        .ok_or("bad --trials (want N >= 1)")?
                 }
-                "--seed" => {
-                    cli.seed = need_val(i).parse().unwrap_or_else(|_| {
-                        eprintln!("bad --seed");
-                        std::process::exit(2);
-                    });
-                    i += 2;
-                }
-                "--results" => {
-                    cli.results = PathBuf::from(need_val(i));
-                    i += 2;
-                }
-                other => {
-                    eprintln!(
-                        "unknown flag {other}\nusage: --scale smoke|default|paper --trials N --seed S --results DIR"
-                    );
-                    std::process::exit(2);
-                }
+                "--seed" => cli.seed = value()?.parse().map_err(|_| "bad --seed")?,
+                "--results" => cli.results = PathBuf::from(value()?),
+                _ => return Err(format!("unknown flag {flag}")),
             }
         }
-        cli
+        Ok(cli)
+    }
+
+    /// Parse `std::env::args()`; a bad flag exits 2 with the usage message.
+    pub fn parse() -> Cli {
+        Cli::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}\nusage: {USAGE}");
+            std::process::exit(2);
+        })
     }
 
     /// Human-readable run banner.
@@ -136,6 +125,28 @@ mod tests {
         assert_eq!(c.scale, Scale::Default);
         assert_eq!(c.trials, 1);
         assert_eq!(c.results, PathBuf::from("results"));
+    }
+
+    fn parse(s: &str) -> Result<Cli, String> {
+        Cli::parse_from(s.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn flags_parse() {
+        let c = parse("--scale smoke --trials 3 --seed 7 --results out").unwrap();
+        assert_eq!(c.scale, Scale::Smoke);
+        assert_eq!((c.trials, c.seed), (3, 7));
+        assert_eq!(c.results, PathBuf::from("out"));
+    }
+
+    #[test]
+    fn bad_flags_are_errors() {
+        assert!(parse("--trials 0").unwrap_err().contains("--trials"));
+        assert!(parse("--trials x").is_err());
+        assert!(parse("--scale huge").is_err());
+        assert_eq!(parse("--seed").unwrap_err(), "missing value for --seed");
+        assert_eq!(parse("--bogus 1").unwrap_err(), "unknown flag --bogus");
+        assert_eq!(parse("--bogus").unwrap_err(), "unknown flag --bogus");
     }
 
     #[test]
