@@ -2,29 +2,21 @@
 //! nonzero on any unsanctioned finding.
 //!
 //! ```text
-//! lint_gate [--root <dir>] [--json <path>] [--update-schema]
+//! lint_gate [--root <dir>] [--json <path>]
 //! ```
 //!
 //! `--json` writes the machine-readable report (uploaded as a CI
-//! artifact); `--update-schema` regenerates `results/checkpoint_schema.json`
-//! from the current checkpoint source before linting — run it whenever a
-//! deliberate layout change bumps `CHECKPOINT_VERSION`.
+//! artifact).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fedtrip_lint::{lint_workspace, render_schema_manifest, LintConfig};
+use fedtrip_lint::{lint_workspace, LintConfig};
 
-struct Args {
-    root: PathBuf,
-    json: Option<PathBuf>,
-    update_schema: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
+/// `(root, json)` from the command line.
+fn parse_args() -> Result<(PathBuf, Option<PathBuf>), String> {
     let mut root = PathBuf::from(".");
     let mut json = None;
-    let mut update_schema = false;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -34,54 +26,26 @@ fn parse_args() -> Result<Args, String> {
             "--json" => {
                 json = Some(PathBuf::from(it.next().ok_or("--json needs a path")?));
             }
-            "--update-schema" => update_schema = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: lint_gate [--root <dir>] [--json <path>] [--update-schema]".into(),
-                )
-            }
+            "--help" | "-h" => return Err("usage: lint_gate [--root <dir>] [--json <path>]".into()),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Ok(Args {
-        root,
-        json,
-        update_schema,
-    })
+    Ok((root, json))
 }
 
 fn run() -> Result<bool, String> {
-    let args = parse_args()?;
-    if !args.root.join("crates").is_dir() {
+    let (root, json) = parse_args()?;
+    if !root.join("crates").is_dir() {
         return Err(format!(
             "{} does not look like the workspace root (no crates/ directory); \
              run from the repo root or pass --root",
-            args.root.display()
+            root.display()
         ));
     }
-    let cfg = LintConfig::default();
+    let report = lint_workspace(&root, &LintConfig::default())
+        .map_err(|e| format!("scanning {}: {e}", root.display()))?;
 
-    if args.update_schema {
-        let manifest = render_schema_manifest(&args.root, &cfg)
-            .map_err(|e| format!("reading {}: {e}", cfg.checkpoint_source))?
-            .ok_or_else(|| {
-                format!(
-                    "{} defines no CHECKPOINT_VERSION; nothing to extract",
-                    cfg.checkpoint_source
-                )
-            })?;
-        let path = args.root.join(&cfg.checkpoint_manifest);
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        }
-        std::fs::write(&path, &manifest).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        eprintln!("lint_gate: wrote {}", path.display());
-    }
-
-    let report = lint_workspace(&args.root, &cfg)
-        .map_err(|e| format!("scanning {}: {e}", args.root.display()))?;
-
-    if let Some(path) = &args.json {
+    if let Some(path) = &json {
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)

@@ -732,43 +732,40 @@ mod tests {
 
     #[test]
     fn load_rejects_foreign_format_versions() {
-        let hyper = HyperParams::default();
-        let mut sim = Simulation::new(cfg(33), AlgorithmKind::FedAvg.build(&hyper));
-        sim.run_round();
-        let mut ckpt = Checkpoint::capture(&sim, AlgorithmKind::FedAvg, hyper);
-        ckpt.version = CHECKPOINT_VERSION + 1;
-        let path = std::env::temp_dir().join("fedtrip_ckpt_version_test.json");
-        ckpt.save(&path).unwrap();
-        let err = Checkpoint::load(&path).unwrap_err();
-        assert!(
-            matches!(err, RestoreError::Snapshot(_)),
-            "unexpected error: {err}"
-        );
-        assert!(
-            err.to_string().contains("version"),
-            "unexpected error: {err}"
-        );
-
-        // every other layout is rejected by its version alone, before any
-        // field is looked at: minimal files suffice
-        let cases = [
-            ("3", r#"{"version": 3}"#),
-            ("4", r#"{"version": 4}"#),
-            ("5", r#"{"version": 5}"#),
-            ("6", r#"{"version": 6}"#),
-            ("7", r#"{"version": 7, "round": 4, "global": [0.5, -0]}"#),
-            ("8", r#"{"version": 8, "round": 4, "clock": 1.5}"#),
-            ("10", r#"{"version": 10}"#),
-            ("<missing>", r#"{"round": 4}"#),
-        ];
-        let path = std::env::temp_dir().join("fedtrip_ckpt_foreign_version_test.json");
-        for (version, body) in cases {
-            fs::write(&path, body).unwrap();
-            let err = Checkpoint::load(&path).unwrap_err();
-            assert!(matches!(err, RestoreError::Snapshot(_)), "{version}: {err}");
+        // the committed current-version snapshot (see tests/snapshots.rs)
+        // with its header patched: every other version, or none, is
+        // rejected by name before any field is looked at
+        let committed = fs::read(format!(
+            "{}/tests/snapshot_v{CHECKPOINT_VERSION}_fedtrip.ckpt",
+            env!("CARGO_MANIFEST_DIR")
+        ))
+        .expect("committed snapshot");
+        let nl = committed.iter().position(|&b| b == b'\n').unwrap();
+        let header = std::str::from_utf8(&committed[..nl]).unwrap();
+        let current = format!("{{\"version\":{CHECKPOINT_VERSION},");
+        let path = std::env::temp_dir().join("fedtrip_ckpt_foreign_version_test.ckpt");
+        let load_patched = |from: &str, to: &str| {
+            let patched = header.replacen(from, to, 1);
+            assert_ne!(patched, header, "{from} not in the header");
+            fs::write(&path, [patched.as_bytes(), &committed[nl..]].concat()).unwrap();
+            let err = Checkpoint::load(&path).map(|_| ()).unwrap_err();
+            assert!(matches!(err, RestoreError::Snapshot(_)), "{to}: {err}");
+            err.to_string()
+        };
+        for version in ["3", "4", "5", "6", "7", "8", "10", "<missing>"] {
+            let to = match version {
+                "<missing>" => "{".to_string(),
+                v => format!("{{\"version\":{v},"),
+            };
+            let err = load_patched(&current, &to);
             let want = format!("version {version} unsupported (expected {CHECKPOINT_VERSION})");
-            assert!(err.to_string().contains(&want), "{version}: {err}");
+            assert!(err.contains(&want), "{version}: {err}");
         }
+
+        // the right version with a required field deleted
+        let err = load_patched("\"algorithm\":\"FedTrip\",", "");
+        let want = format!("snapshot does not fit the v{CHECKPOINT_VERSION} layout");
+        assert!(err.contains(&want), "{err}");
     }
 
     #[test]

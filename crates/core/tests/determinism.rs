@@ -6,9 +6,13 @@
 //! through the serialized JSON form: floats are printed as their shortest
 //! round-trippable representation, so equal strings imply bit-identical
 //! records.
+//!
+//! The same harness checks that the regularized methods reduce exactly to
+//! the plain ones when their extra term is switched off.
 
-use fedtrip_core::algorithms::{AlgorithmKind, HyperParams};
+use fedtrip_core::algorithms::{AlgorithmKind, HyperParams, XiMode};
 use fedtrip_core::engine::{Simulation, SimulationConfig};
+use fedtrip_core::runtime::RunMode;
 use fedtrip_data::partition::HeterogeneityKind;
 use fedtrip_data::synth::DatasetKind;
 use fedtrip_models::ModelKind;
@@ -37,6 +41,73 @@ fn run_records(kind: AlgorithmKind, seed: u64) -> String {
     let mut sim = Simulation::new(cfg(seed), kind.build(&HyperParams::default()));
     let records = sim.run();
     serde_json::to_string(&records.to_vec()).expect("serialize records")
+}
+
+/// Per-record accuracy bits, mean-loss bits and folded clients.
+type RecordView = Vec<(Option<u64>, u64, Vec<usize>)>;
+
+/// A 6-round run of `kind` under `mode`, reduced to what a reduction must
+/// keep: the final global parameters' bits and each record's accuracy,
+/// mean loss and folded clients. `cum_flops` is left out on purpose: a
+/// switched-off term still charges its attach cost.
+fn reduction_view(
+    kind: AlgorithmKind,
+    hyper: &HyperParams,
+    mode: RunMode,
+) -> (Vec<u32>, RecordView) {
+    let c = SimulationConfig {
+        rounds: 6,
+        mode,
+        device_het: 4.0,
+        ..cfg(91)
+    };
+    let mut sim = Simulation::new(c, kind.build(hyper));
+    sim.run();
+    let params = sim.global_params().iter().map(|v| v.to_bits()).collect();
+    let records = sim
+        .records()
+        .iter()
+        .map(|r| {
+            (
+                r.accuracy.map(f64::to_bits),
+                r.mean_loss.to_bits(),
+                r.selected.clone(),
+            )
+        })
+        .collect();
+    (params, records)
+}
+
+#[test]
+fn fedtrip_with_zero_xi_is_fedprox_at_the_same_mu() {
+    let hyper = HyperParams {
+        xi_mode: XiMode::Fixed(0.0),
+        fedtrip_mu: 0.4,
+        fedprox_mu: 0.4,
+        ..HyperParams::default()
+    };
+    for mode in [RunMode::Sync, RunMode::SemiAsync] {
+        assert_eq!(
+            reduction_view(AlgorithmKind::FedTrip, &hyper, mode),
+            reduction_view(AlgorithmKind::FedProx, &hyper, mode),
+            "{mode:?}"
+        );
+    }
+}
+
+#[test]
+fn fedprox_with_zero_mu_is_fedavg() {
+    let hyper = HyperParams {
+        fedprox_mu: 0.0,
+        ..HyperParams::default()
+    };
+    for mode in [RunMode::Sync, RunMode::SemiAsync] {
+        assert_eq!(
+            reduction_view(AlgorithmKind::FedProx, &hyper, mode),
+            reduction_view(AlgorithmKind::FedAvg, &hyper, mode),
+            "{mode:?}"
+        );
+    }
 }
 
 #[test]

@@ -11,7 +11,6 @@
 //! | `float-fold` | f32/f64 reductions in aggregation code only inside sanctioned fold helpers |
 //! | `unsafe` | every `unsafe` carries a `SAFETY` comment; unsafe-free crates `forbid(unsafe_code)` |
 //! | `panic` | no `unwrap`/`expect`/`panic!` in library code |
-//! | `checkpoint-schema` | serialized layouts match `results/checkpoint_schema.json` |
 //!
 //! Individual sites opt out with `// lint:allow(<rule>) — <reason>`; the
 //! reason is mandatory (a reasonless sanction suppresses nothing and is
@@ -24,7 +23,6 @@ pub mod context;
 pub mod diag;
 pub mod lexer;
 pub mod rules;
-pub mod schema;
 
 pub use diag::{Diagnostic, LintReport};
 
@@ -51,10 +49,6 @@ pub struct LintConfig {
     pub sanctioned_fold_methods: Vec<(String, String)>,
     /// Workspace-relative path of the RNG tag registry (R2 distinctness).
     pub rng_registry: String,
-    /// Workspace-relative path of the checkpoint source (R6).
-    pub checkpoint_source: String,
-    /// Workspace-relative path of the committed schema manifest (R6).
-    pub checkpoint_manifest: String,
 }
 
 impl Default for LintConfig {
@@ -75,8 +69,6 @@ impl Default for LintConfig {
                 ("FoldPlan".into(), "for_outcomes".into()),
             ],
             rng_registry: "crates/tensor/src/rng_tags.rs".into(),
-            checkpoint_source: "crates/core/src/checkpoint.rs".into(),
-            checkpoint_manifest: "results/checkpoint_schema.json".into(),
         }
     }
 }
@@ -165,15 +157,6 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> io::Result<LintReport> {
         if ctx.rel == cfg.rng_registry {
             rules::rng_tags_registry(ctx, &mut diagnostics);
         }
-        if ctx.rel == cfg.checkpoint_source {
-            let manifest = fs::read_to_string(root.join(&cfg.checkpoint_manifest)).ok();
-            schema::check(
-                ctx,
-                manifest.as_deref(),
-                &cfg.checkpoint_manifest,
-                &mut diagnostics,
-            );
-        }
     }
 
     // R4b: crates with zero unsafe must forbid it at the crate root
@@ -212,18 +195,4 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> io::Result<LintReport> {
         files_scanned: files.len(),
         diagnostics,
     })
-}
-
-/// Extract the checkpoint schema manifest text for the workspace at
-/// `root`, or `None` when the checkpoint source is absent or defines no
-/// `CHECKPOINT_VERSION`.
-pub fn render_schema_manifest(root: &Path, cfg: &LintConfig) -> io::Result<Option<String>> {
-    let path = root.join(&cfg.checkpoint_source);
-    if !path.is_file() {
-        return Ok(None);
-    }
-    let src = fs::read_to_string(&path)?;
-    let lexed = lexer::lex(&src);
-    let ctx = FileCtx::new(cfg.checkpoint_source.clone(), "core".to_string(), &lexed);
-    Ok(schema::extract(&ctx).map(|info| schema::render_manifest(&info)))
 }

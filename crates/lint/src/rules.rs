@@ -1,4 +1,4 @@
-//! The rule catalogue: R1–R6 plus the sanction-syntax meta rule.
+//! The rule catalogue: R1–R5 plus the sanction-syntax meta rule.
 //!
 //! Each rule is a pure function from a [`FileCtx`] (or, for the
 //! workspace-level rules, a set of them) to diagnostics. Rules skip
@@ -32,10 +32,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "panic",
         "no unwrap/expect/panic! in library code without a reasoned sanction (R5)",
-    ),
-    (
-        "checkpoint-schema",
-        "serialized checkpoint layouts match the committed manifest and version docs (R6)",
     ),
     (
         "lint-syntax",

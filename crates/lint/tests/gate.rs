@@ -110,20 +110,6 @@ fn r5_unwrap_fires_alone() {
 }
 
 #[test]
-fn r6_schema_drift_fires_alone() {
-    let report = lint_fixture("r6_drift");
-    assert_eq!(
-        report
-            .diagnostics
-            .iter()
-            .map(|d| d.rule)
-            .collect::<BTreeSet<_>>(),
-        only("checkpoint-schema")
-    );
-    assert!(report.diagnostics[0].message.contains("drifted"));
-}
-
-#[test]
 fn reasoned_sanction_suppresses_the_finding() {
     let report = lint_fixture("sanctioned");
     assert!(report.is_clean(), "{:?}", report.diagnostics);
