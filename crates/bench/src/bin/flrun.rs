@@ -253,11 +253,8 @@ fn main() {
                 overrides.mode = Some(RunMode::parse(val()).unwrap_or_else(|| die("bad --mode")))
             }
             "--device-het" => {
-                let s: f32 = val().parse().unwrap_or_else(|_| die("bad --device-het"));
-                if s < 1.0 {
-                    die("--device-het must be >= 1");
-                }
-                overrides.device_het = Some(s);
+                overrides.device_het =
+                    Some(val().parse().unwrap_or_else(|_| die("bad --device-het")))
             }
             "--buffer" => {
                 overrides.async_buffer = Some(val().parse().unwrap_or_else(|_| die("bad --buffer")))
@@ -281,11 +278,7 @@ fn main() {
                 overrides.resync = Some(val().parse().unwrap_or_else(|_| die("bad --resync")))
             }
             "--edges" => {
-                let e: usize = val().parse().unwrap_or_else(|_| die("bad --edges"));
-                if e == 0 {
-                    die("--edges must be >= 1");
-                }
-                overrides.edges = Some(e);
+                overrides.edges = Some(val().parse().unwrap_or_else(|_| die("bad --edges")))
             }
             "--availability" => {
                 overrides.availability =
@@ -382,6 +375,7 @@ fn main() {
             if let Some(d) = overrides.deadline {
                 cfg.deadline_secs = d;
             }
+            cfg.validate().unwrap_or_else(|e| die(&e));
             let avail = if cfg.availability_period > 0 {
                 format!(
                     " | avail diurnal:{}:{:.2}",

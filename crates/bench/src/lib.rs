@@ -4,11 +4,9 @@
 //! regenerates every table and figure (`reproduce table4_comm_rounds`,
 //! `reproduce all`, ...), and the runtime extensions have their own:
 //! `time_to_accuracy` (sync-barrier vs semi-async virtual wall-clock under
-//! heterogeneous device profiles), `comm_efficiency` (upload codec × device
-//! spread, scored by virtual seconds to an adaptive accuracy target),
-//! `population_scale` (round cost and resident state vs federation size, N
-//! up to 100k), and `bench_gate` (the CI bench-regression gate over the
-//! [`population`] harness); all of them share:
+//! heterogeneous device profiles) and `comm_efficiency` (upload codec ×
+//! device spread, scored by virtual seconds to an adaptive accuracy
+//! target); all of them share:
 //!
 //! * [`Cli`] — a tiny flag parser (`--scale smoke|default|paper`,
 //!   `--trials N`, `--seed S`, `--results DIR`),
@@ -29,7 +27,6 @@
 
 pub mod cases;
 pub mod cells;
-pub mod population;
 
 use fedtrip_core::experiment::Scale;
 use std::path::PathBuf;

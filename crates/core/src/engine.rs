@@ -200,9 +200,9 @@ impl SimulationConfig {
         }
     }
 
-    /// Check the invariants [`Simulation::new`] would otherwise assert
-    /// (and panic on). Used by checkpoint restore so a corrupted or
-    /// hand-edited snapshot surfaces a clean error instead of a panic.
+    /// Check the invariants [`Env::new`] asserts. Checkpoint restore and
+    /// `flrun` call it first, so a corrupted snapshot or a bad flag
+    /// surfaces a clean error instead of a panic.
     pub fn validate(&self) -> Result<(), String> {
         if self.n_clients == 0 {
             return Err("need at least one client".into());
@@ -433,31 +433,14 @@ impl Env {
     /// federation costs no more to stand up than a 10-client one.
     ///
     /// # Panics
-    /// Panics on inconsistent configuration (zero clients, `K > N`, zero
-    /// batch size or test set, model/dataset shape mismatch,
-    /// `device_het < 1`).
+    /// Panics when [`SimulationConfig::validate`] rejects the configuration.
     pub fn new(cfg: &SimulationConfig) -> Env {
         let cfg = *cfg;
-        assert!(cfg.n_clients > 0, "need at least one client");
-        assert!(
-            cfg.clients_per_round > 0 && cfg.clients_per_round <= cfg.n_clients,
-            "clients_per_round must be in 1..=n_clients"
-        );
-        assert!(cfg.rounds > 0, "need at least one round");
-        assert!(cfg.eval_every > 0, "eval_every must be positive");
-        assert!(cfg.batch_size > 0, "batch_size must be positive");
-        assert!(cfg.test_per_class > 0, "test_per_class must be positive");
-        assert!(cfg.device_het >= 1.0, "device_het must be >= 1");
-        assert!(cfg.edges > 0, "need at least one edge aggregator");
-        assert!(
-            cfg.deadline_secs >= 0.0,
-            "deadline_secs must be non-negative"
-        );
+        assert_eq!(cfg.validate(), Ok(()), "invalid simulation config");
 
         let dataset = SyntheticVision::new(cfg.dataset, cfg.seed);
         let mut spec = *dataset.spec();
         if let Some(n) = cfg.client_samples_override {
-            assert!(n > 0, "client_samples_override must be positive");
             spec.client_samples = n;
         }
         let partition = Partition::build(

@@ -40,9 +40,10 @@
 //! memory — client states live in a sparse store, partition shards and
 //! device profiles derive lazily on first participation, selection runs a
 //! sparse Fisher–Yates, and both schedulers stream arrivals into a running
-//! weighted fold — so federation size is not a cost axis (proven flat from
-//! N = 1k to N = 100k by the `population_scale` bench and CI's
-//! `bench_gate`).
+//! weighted fold — so federation size is not a cost axis (residency and
+//! bytes per round are pinned from N = 1k to N = 100k by
+//! `tests/population.rs`; the benchmark's `pop_1m_edge` workload times
+//! N = 1M).
 
 pub mod availability;
 pub mod clock;

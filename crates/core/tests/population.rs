@@ -9,9 +9,10 @@
 //!   traces — selection strategies × failure injection × semi-async
 //!   scheduling. (Bit-identity against the *historical* dense engine is
 //!   separately pinned by `tests/golden_sync.rs`.)
-//! * **O(participants) residency.** An `N = 100 000`, `K = 4` federation
-//!   must construct instantly and touch at most `rounds × K` state entries
-//!   and partition shards — resident footprint scales with participation,
+//! * **O(participants) residency.** From `N = 1 000` to `N = 100 000` at
+//!   `K = 4`, a federation must construct instantly, touch at most
+//!   `rounds × K` state entries and partition shards, and charge the same
+//!   bytes per round — resident footprint scales with participation,
 //!   never federation size.
 
 use fedtrip_core::algorithms::{AlgorithmKind, HyperParams};
@@ -114,44 +115,57 @@ proptest! {
     }
 }
 
+/// From `N = 1k` to `N = 100k` at a fixed `K`, residency stays within
+/// `rounds × K` and every round is charged the same bytes.
 #[test]
 fn n_100k_smoke_touches_at_most_rounds_times_k_entries() {
     let rounds = 3;
     let k = 4;
-    let cfg = SimulationConfig {
-        dataset: DatasetKind::MnistLike,
-        model: ModelKind::TinyMlp,
-        heterogeneity: HeterogeneityKind::Dirichlet(0.5),
-        n_clients: 100_000,
-        clients_per_round: k,
-        rounds,
-        local_epochs: 1,
-        batch_size: 20,
-        lr: 0.05,
-        momentum: 0.9,
-        seed: 2026,
-        test_per_class: 4,
-        client_samples_override: Some(40),
-        eval_every: rounds, // evaluate once, at the end
-        ..SimulationConfig::default()
-    };
-    let mut sim = Simulation::new(cfg, AlgorithmKind::FedTrip.build(&HyperParams::default()));
-    assert_eq!(sim.partition().regime(), ShardRegime::Independent);
-    sim.run();
-
     let bound = rounds * k;
-    assert!(
-        sim.client_states().resident() <= bound,
-        "resident state entries {} exceed rounds×K = {bound}",
-        sim.client_states().resident()
-    );
-    assert!(
-        sim.partition().resident_shards() <= bound,
-        "resident shards {} exceed rounds×K = {bound}",
-        sim.partition().resident_shards()
-    );
-    assert!(sim.client_states().resident() > 0);
-    assert!(sim.records().last().unwrap().accuracy.is_some());
+    let mut comm_at_1k: Option<Vec<f64>> = None;
+    for n_clients in [1_000, 10_000, 100_000] {
+        let cfg = SimulationConfig {
+            dataset: DatasetKind::MnistLike,
+            model: ModelKind::TinyMlp,
+            heterogeneity: HeterogeneityKind::Dirichlet(0.5),
+            n_clients,
+            clients_per_round: k,
+            rounds,
+            local_epochs: 1,
+            batch_size: 20,
+            lr: 0.05,
+            momentum: 0.9,
+            seed: 2026,
+            test_per_class: 4,
+            client_samples_override: Some(40),
+            eval_every: rounds, // evaluate once, at the end
+            ..SimulationConfig::default()
+        };
+        let mut sim = Simulation::new(cfg, AlgorithmKind::FedTrip.build(&HyperParams::default()));
+        if n_clients == 100_000 {
+            assert_eq!(sim.partition().regime(), ShardRegime::Independent);
+        }
+        sim.run();
+
+        assert!(
+            sim.client_states().resident() <= bound,
+            "N = {n_clients}: resident state entries {} exceed rounds×K = {bound}",
+            sim.client_states().resident()
+        );
+        assert!(
+            sim.partition().resident_shards() <= bound,
+            "N = {n_clients}: resident shards {} exceed rounds×K = {bound}",
+            sim.partition().resident_shards()
+        );
+        assert!(sim.client_states().resident() > 0);
+        assert!(sim.records().last().unwrap().accuracy.is_some());
+
+        let comm: Vec<f64> = sim.records().iter().map(|r| r.cum_comm_bytes).collect();
+        match &comm_at_1k {
+            None => comm_at_1k = Some(comm),
+            Some(base) => assert_eq!(&comm, base, "N = {n_clients}: bytes per round moved"),
+        }
+    }
 }
 
 #[test]

@@ -208,7 +208,8 @@ pub fn col2im_accum_from(
     }
 }
 
-/// Reference direct convolution for one image (testing / ablation baseline).
+/// Reference direct convolution for one image (the test oracle for the
+/// im2col path).
 ///
 /// `weights` is `[OC, C, KH, KW]`, `out` is `[OC, OH, OW]` and is overwritten.
 pub fn conv2d_direct(g: &ConvGeom, img: &[f32], weights: &[f32], bias: &[f32], out: &mut [f32]) {

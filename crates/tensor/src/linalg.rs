@@ -24,7 +24,7 @@
 //! seeded from `+0.0`, `x + (+/-0.0 * b)` is bit-identical to skipping the
 //! term for all finite data, and a branch in the inner loop defeats
 //! vectorization on the dense matrices this workspace actually multiplies
-//! (the bench `gemm_gflops_*` metrics in `bench_gate` quantify the win).
+//! (the benchmark's `tensor.sgemm_gflops.*` probes measure it).
 
 use crate::tensor::Tensor;
 use crate::{Result, TensorError};

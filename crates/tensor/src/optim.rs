@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The paper trains with a fixed rate (0.01); the schedules are the
 /// extension its §VI future work invites and are exercised by the
-/// `flrun` CLI and ablation benches.
+/// `flrun` CLI.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum LrSchedule {
     /// The paper's setting: a fixed learning rate.

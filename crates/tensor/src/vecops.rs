@@ -3,8 +3,7 @@
 //! Every regularizer in the paper is an O(|w|) vector operation on flat
 //! parameter/gradient views ("attaching operations" in the paper's Appendix
 //! A). These kernels fuse the passes so each runs in a single sweep over
-//! memory — the ablation bench `bench_local_step` compares them against the
-//! naive multi-pass formulations.
+//! memory; the benchmark's `tensor.optim_sweep_us.*` probes time them.
 
 /// `y += alpha * x`.
 ///
