@@ -30,7 +30,7 @@
 use fedtrip_core::algorithms::AlgorithmKind;
 use fedtrip_core::checkpoint::Checkpoint;
 use fedtrip_core::compression::CompressionKind;
-use fedtrip_core::engine::{RunMode, SelectionStrategy, Simulation};
+use fedtrip_core::engine::{RunMode, SelectionStrategy, Simulation, SimulationConfig};
 use fedtrip_core::experiment::{ExperimentSpec, Scale};
 use fedtrip_data::partition::{HeterogeneityKind, ShardRegime};
 use fedtrip_data::synth::DatasetKind;
@@ -119,44 +119,10 @@ fn parse_lr_schedule(s: &str) -> Option<LrSchedule> {
     }
 }
 
-/// Engine knobs that sit on `SimulationConfig` but not on `ExperimentSpec`;
-/// applied after `to_config()`.
-#[derive(Default)]
-struct ConfigOverrides {
-    selection: Option<SelectionStrategy>,
-    failure_prob: Option<f32>,
-    lr_schedule: Option<LrSchedule>,
-    mode: Option<RunMode>,
-    device_het: Option<f32>,
-    async_buffer: Option<usize>,
-    compression: Option<CompressionKind>,
-    error_feedback: bool,
-    downlink: Option<CompressionKind>,
-    resync: Option<usize>,
-    edges: Option<usize>,
-    availability: Option<(usize, f32)>,
-    churn: Option<(usize, usize)>,
-    deadline: Option<f32>,
-}
-
-impl ConfigOverrides {
-    fn any(&self) -> bool {
-        self.selection.is_some()
-            || self.failure_prob.is_some()
-            || self.lr_schedule.is_some()
-            || self.mode.is_some()
-            || self.device_het.is_some()
-            || self.async_buffer.is_some()
-            || self.compression.is_some()
-            || self.error_feedback
-            || self.downlink.is_some()
-            || self.resync.is_some()
-            || self.edges.is_some()
-            || self.availability.is_some()
-            || self.churn.is_some()
-            || self.deadline.is_some()
-    }
-}
+/// An engine flag's edit of the config `to_config()` builds: these knobs
+/// sit on `SimulationConfig` but not on `ExperimentSpec`, and a resumed
+/// checkpoint pins them.
+type ConfigEdit = Box<dyn FnOnce(&mut SimulationConfig)>;
 
 fn parse_het(s: &str) -> Option<HeterogeneityKind> {
     let l = s.to_ascii_lowercase();
@@ -197,7 +163,7 @@ fn parse_model(s: &str) -> Option<ModelKind> {
 fn main() {
     let mut spec = ExperimentSpec::quickstart().with_scale(Scale::Default);
     spec.rounds = 30;
-    let mut overrides = ConfigOverrides::default();
+    let mut edits: Vec<ConfigEdit> = Vec::new();
     let mut checkpoint: Option<PathBuf> = None;
     let mut resume: Option<PathBuf> = None;
     let mut extra_rounds: Option<usize> = None;
@@ -235,64 +201,75 @@ fn main() {
             "--seed" => spec.seed = val().parse().unwrap_or_else(|_| die("bad --seed")),
             "--scale" => spec.scale = Scale::parse(val()).unwrap_or_else(|| die("bad --scale")),
             "--selection" => {
-                overrides.selection =
-                    Some(SelectionStrategy::parse(val()).unwrap_or_else(|| die("bad --selection")))
+                let s = SelectionStrategy::parse(val()).unwrap_or_else(|| die("bad --selection"));
+                edits.push(Box::new(move |c| c.selection = s));
             }
             "--failure-prob" => {
                 let p: f32 = val().parse().unwrap_or_else(|_| die("bad --failure-prob"));
                 if !(0.0..=1.0).contains(&p) {
                     die("--failure-prob must be in [0, 1]");
                 }
-                overrides.failure_prob = Some(p);
+                edits.push(Box::new(move |c| c.failure_prob = p));
             }
             "--lr-schedule" => {
-                overrides.lr_schedule =
-                    Some(parse_lr_schedule(val()).unwrap_or_else(|| die("bad --lr-schedule")))
+                let ls = parse_lr_schedule(val()).unwrap_or_else(|| die("bad --lr-schedule"));
+                edits.push(Box::new(move |c| c.lr_schedule = ls));
             }
             "--mode" => {
-                overrides.mode = Some(RunMode::parse(val()).unwrap_or_else(|| die("bad --mode")))
+                let m = RunMode::parse(val()).unwrap_or_else(|| die("bad --mode"));
+                edits.push(Box::new(move |c| c.mode = m));
             }
             "--device-het" => {
-                overrides.device_het =
-                    Some(val().parse().unwrap_or_else(|_| die("bad --device-het")))
+                let d = val().parse().unwrap_or_else(|_| die("bad --device-het"));
+                edits.push(Box::new(move |c| c.device_het = d));
             }
             "--buffer" => {
-                overrides.async_buffer = Some(val().parse().unwrap_or_else(|_| die("bad --buffer")))
+                let b = val().parse().unwrap_or_else(|_| die("bad --buffer"));
+                edits.push(Box::new(move |c| c.async_buffer = b));
             }
             "--compress" => {
-                overrides.compression =
-                    Some(CompressionKind::parse(val()).unwrap_or_else(|| die("bad --compress")))
+                let k = CompressionKind::parse(val()).unwrap_or_else(|| die("bad --compress"));
+                edits.push(Box::new(move |c| c.compression = k));
             }
             "--error-feedback" => {
                 // boolean flag: consumes no value
-                overrides.error_feedback = true;
+                edits.push(Box::new(|c| c.error_feedback = true));
                 i += 1;
                 continue;
             }
             "--compress-down" => {
-                overrides.downlink = Some(
-                    CompressionKind::parse(val()).unwrap_or_else(|| die("bad --compress-down")),
-                )
+                let k = CompressionKind::parse(val()).unwrap_or_else(|| die("bad --compress-down"));
+                edits.push(Box::new(move |c| c.downlink_compression = k));
             }
             "--resync" => {
-                overrides.resync = Some(val().parse().unwrap_or_else(|_| die("bad --resync")))
+                let r = val().parse().unwrap_or_else(|_| die("bad --resync"));
+                edits.push(Box::new(move |c| c.resync_interval = r));
             }
             "--edges" => {
-                overrides.edges = Some(val().parse().unwrap_or_else(|_| die("bad --edges")))
+                let e = val().parse().unwrap_or_else(|_| die("bad --edges"));
+                edits.push(Box::new(move |c| c.edges = e));
             }
             "--availability" => {
-                overrides.availability =
-                    Some(parse_availability(val()).unwrap_or_else(|| die("bad --availability")))
+                let (period, frac) =
+                    parse_availability(val()).unwrap_or_else(|| die("bad --availability"));
+                edits.push(Box::new(move |c| {
+                    c.availability_period = period;
+                    c.availability_on_fraction = frac;
+                }));
             }
             "--churn" => {
-                overrides.churn = Some(parse_churn(val()).unwrap_or_else(|| die("bad --churn")))
+                let (join, residency) = parse_churn(val()).unwrap_or_else(|| die("bad --churn"));
+                edits.push(Box::new(move |c| {
+                    c.churn_join_window = join;
+                    c.churn_residency = residency;
+                }));
             }
             "--deadline" => {
                 let d: f32 = val().parse().unwrap_or_else(|_| die("bad --deadline"));
                 if !d.is_finite() || d < 0.0 {
                     die("--deadline must be a finite number of virtual seconds >= 0");
                 }
-                overrides.deadline = Some(d);
+                edits.push(Box::new(move |c| c.deadline_secs = d));
             }
             "--checkpoint" => checkpoint = Some(PathBuf::from(val())),
             "--resume" => resume = Some(PathBuf::from(val())),
@@ -303,7 +280,7 @@ fn main() {
 
     let mut sim = match &resume {
         Some(path) => {
-            if overrides.any() {
+            if !edits.is_empty() {
                 die("engine overrides (--selection/--failure-prob/--lr-schedule/--mode/--device-het/--buffer/--compress/--error-feedback/--compress-down/--resync/--edges/--availability/--churn/--deadline) cannot be combined with --resume; the checkpoint pins them");
             }
             let ckpt = Checkpoint::load(path).unwrap_or_else(|e| die(&format!("resume: {e}")));
@@ -325,57 +302,20 @@ fn main() {
         }
         None => {
             let mut cfg = spec.to_config();
-            if let Some(s) = overrides.selection {
-                cfg.selection = s;
+            for edit in edits {
+                edit(&mut cfg);
             }
-            if let Some(p) = overrides.failure_prob {
-                cfg.failure_prob = p;
-            }
-            if let Some(ls) = overrides.lr_schedule {
-                cfg.lr_schedule = ls;
-            }
-            if let Some(m) = overrides.mode {
-                cfg.mode = m;
-            }
-            if let Some(d) = overrides.device_het {
-                cfg.device_het = d;
-            }
-            if let Some(b) = overrides.async_buffer {
-                cfg.async_buffer = b;
-            }
-            if let Some(c) = overrides.compression {
-                if let CompressionKind::TopK(f) = c {
-                    if f > 0.5 {
-                        eprintln!(
-                            "flrun: warning: topk:{f} expands the uplink (8 bytes per kept \
-                             coordinate vs 4 dense); fractions <= 0.5 compress"
-                        );
-                    }
+            if let CompressionKind::TopK(f) = cfg.compression {
+                if f > 0.5 {
+                    eprintln!(
+                        "flrun: warning: topk:{f} expands the uplink (8 bytes per kept \
+                         coordinate vs 4 dense); fractions <= 0.5 compress"
+                    );
                 }
-                cfg.compression = c;
             }
-            cfg.error_feedback = overrides.error_feedback;
-            if let Some(c) = overrides.downlink {
-                cfg.downlink_compression = c;
-            }
-            if let Some(r) = overrides.resync {
-                cfg.resync_interval = r;
-            }
-            if let Some(e) = overrides.edges {
-                cfg.edges = e;
-            }
-            if let Some((period, frac)) = overrides.availability {
-                cfg.availability_period = period;
-                cfg.availability_on_fraction = frac;
-            }
-            if let Some((join, residency)) = overrides.churn {
-                cfg.churn_join_window = join;
-                cfg.churn_residency = residency;
-            }
-            if let Some(d) = overrides.deadline {
-                cfg.deadline_secs = d;
-            }
-            cfg.validate().unwrap_or_else(|e| die(&e));
+            cfg.validate()
+                .and_then(|()| spec.algorithm.validate(&spec.hyper))
+                .unwrap_or_else(|e| die(&e));
             let avail = if cfg.availability_period > 0 {
                 format!(
                     " | avail diurnal:{}:{:.2}",

@@ -1,4 +1,4 @@
-//! `comm_efficiency` — virtual wall-clock and total bytes to a target
+//! Extension — virtual wall-clock and total bytes to a target
 //! accuracy across codec pairs (uplink x downlink) and device-speed
 //! spreads.
 //!
@@ -8,45 +8,33 @@
 //! virtual clock charges exactly the encoded bytes. Uplinks compress the
 //! client update directly (with client-side error feedback); downlinks
 //! broadcast quantized global *deltas* with a server-side error-feedback
-//! residual and a periodic dense resync. This binary quantifies the trade:
+//! residual and a periodic dense resync. This claim quantifies the trade:
 //! lossy codecs slightly perturb each round but cut link seconds and bytes
 //! per round, so time-to-target drops — hardest under wide device spreads,
 //! where the synchronous barrier waits on the slowest link — and closing
 //! the downlink roughly halves the remaining byte bill on top of
 //! uplink-only compression.
 //!
-//! ```bash
-//! cargo run --release -p fedtrip-bench --bin comm_efficiency -- \
-//!     [--scale smoke|default|paper] [--seed S] [--results DIR]
-//! ```
-//!
 //! Codec pairs are scored against an *adaptive* target — 90% of the
 //! uncompressed run's final accuracy at the same device spread — which
 //! keeps the comparison meaningful at reduced scales.
 
+use fedtrip_bench::cases::{fmt_speedup, fmt_time, run_config, series};
 use fedtrip_bench::Cli;
 use fedtrip_core::compression::CompressionKind;
-use fedtrip_core::engine::{RoundRecord, Simulation};
+use fedtrip_core::engine::Simulation;
 use fedtrip_core::experiment::ExperimentSpec;
-use fedtrip_metrics::report::{save_json, Table};
+use fedtrip_metrics::report::Table;
 use fedtrip_metrics::time_to_target;
-use serde_json::json;
+use serde_json::{json, Value};
 
 /// Dense resync cadence whenever a downlink codec is active: frequent
 /// enough that quantization drift never accumulates past a handful of
 /// rounds, sparse enough that delta rounds dominate the byte bill.
 const RESYNC_INTERVAL: usize = 5;
 
-/// (x, accuracy) series of the evaluated rounds, where `x` is extracted
-/// per record — virtual seconds or cumulative bytes.
-fn series(records: &[RoundRecord], x: impl Fn(&RoundRecord) -> f64) -> (Vec<f64>, Vec<f64>) {
-    records
-        .iter()
-        .filter_map(|r| r.accuracy.map(|a| (x(r), a)))
-        .unzip()
-}
-
-fn run(
+/// One codec pair at one device spread.
+fn run_pair(
     spec: &ExperimentSpec,
     up: CompressionKind,
     down: CompressionKind,
@@ -62,13 +50,7 @@ fn run(
         0
     };
     cfg.device_het = spread;
-    let mut sim = Simulation::new(cfg, spec.algorithm.build(&spec.hyper));
-    sim.run();
-    sim
-}
-
-fn fmt_time(t: Option<f64>) -> String {
-    t.map(|s| format!("{s:.1}s")).unwrap_or_else(|| "—".into())
+    run_config(spec, cfg)
 }
 
 fn fmt_mb(b: Option<f64>) -> String {
@@ -76,10 +58,7 @@ fn fmt_mb(b: Option<f64>) -> String {
         .unwrap_or_else(|| "—".into())
 }
 
-fn main() {
-    let cli = Cli::parse();
-    cli.banner("Communication efficiency — codec pairs (up x down) x device spread (sync barrier)");
-
+pub fn run(cli: &Cli) -> Value {
     let spec = ExperimentSpec::quickstart()
         .with_scale(cli.scale)
         .with_seed(cli.seed);
@@ -115,7 +94,7 @@ fn main() {
         let mut baseline_time: Option<f64> = None;
         let mut target = 0.0f64;
         for (up, down) in pairs {
-            let sim = run(&spec, up, down, device_het);
+            let sim = run_pair(&spec, up, down, device_het);
             let last = sim.records().last().expect("run produced records");
             if up == CompressionKind::None {
                 target = 0.90 * sim.final_accuracy(5);
@@ -142,10 +121,6 @@ fn main() {
             if up == CompressionKind::None {
                 baseline_time = t;
             }
-            let speedup = match (baseline_time, t) {
-                (Some(a), Some(b)) if b > 0.0 => format!("{:.2}x", a / b),
-                _ => "—".into(),
-            };
             table.row(&[
                 up.name(),
                 down.name(),
@@ -155,7 +130,7 @@ fn main() {
                 format!("{:.1}%", target * 100.0),
                 fmt_time(t),
                 fmt_mb(bytes),
-                speedup,
+                fmt_speedup(baseline_time, t),
                 format!("{:.1}%", sim.final_accuracy(5) * 100.0),
             ]);
             artifacts.push(json!({
@@ -179,8 +154,5 @@ fn main() {
     println!("the same byte saving buys more virtual seconds per round. MB-to-target");
     println!("is the total (up + down) traffic when the run first holds the target —");
     println!("closing the downlink beats uplink-only on total bytes at every spread.");
-    match save_json(&cli.results, "comm_efficiency", &artifacts) {
-        Ok(path) => println!("artifact: {}", path.display()),
-        Err(e) => eprintln!("artifact write failed: {e}"),
-    }
+    Value::Array(artifacts)
 }

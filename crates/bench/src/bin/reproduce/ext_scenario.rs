@@ -1,10 +1,10 @@
-//! `scenario` — availability regime × selection strategy × upload codec.
+//! Extension — availability regime × selection strategy × upload codec.
 //!
 //! The availability layer (`fedtrip_core::runtime::availability`) turns
 //! the always-reachable federation of the paper's engine into the one
 //! real cross-device deployments see: seed-derived diurnal on/off traces,
 //! clients that join mid-federation and leave for good, and synchronous
-//! reporting deadlines that drop stragglers. This binary sweeps those
+//! reporting deadlines that drop stragglers. This claim sweeps those
 //! regimes against the selection strategies (uniform sampling vs the
 //! Oort-style utility-aware ranking) and the upload codecs, and reports
 //! the two figures that frame the trade:
@@ -17,23 +17,19 @@
 //!   all the work), the metric that exposes what utility-aware selection
 //!   costs in fairness.
 //!
-//! ```bash
-//! cargo run --release -p fedtrip-bench --bin scenario -- \
-//!     [--scale smoke|default|paper] [--seed S] [--results DIR]
-//! ```
-//!
 //! All runs share a 4x device-speed spread so the speed half of the Oort
 //! score has something to rank. The deadline regime derives its cutoff
 //! from the measured always-on round time at the same spread (75% of the
 //! mean round), which keeps the dropout rate meaningful at every scale.
 
+use fedtrip_bench::cases::{fmt_time, run_config, series};
 use fedtrip_bench::Cli;
 use fedtrip_core::compression::CompressionKind;
-use fedtrip_core::engine::{RoundRecord, SelectionStrategy, Simulation, SimulationConfig};
+use fedtrip_core::engine::{SelectionStrategy, Simulation, SimulationConfig};
 use fedtrip_core::experiment::ExperimentSpec;
-use fedtrip_metrics::report::{save_json, Table};
+use fedtrip_metrics::report::Table;
 use fedtrip_metrics::{gini, time_to_target};
-use serde_json::json;
+use serde_json::{json, Value};
 
 /// Device-speed spread shared by every cell: wide enough that the speed
 /// half of the Oort score ranks clients meaningfully.
@@ -93,14 +89,6 @@ fn regimes(rounds: usize) -> [Regime; 4] {
     ]
 }
 
-/// (times, accuracies) of the evaluated rounds.
-fn series(records: &[RoundRecord]) -> (Vec<f64>, Vec<f64>) {
-    records
-        .iter()
-        .filter_map(|r| r.accuracy.map(|a| (r.virtual_time, a)))
-        .unzip()
-}
-
 fn cell_config(
     spec: &ExperimentSpec,
     regime: &Regime,
@@ -121,12 +109,6 @@ fn cell_config(
     cfg
 }
 
-fn run(cfg: SimulationConfig, spec: &ExperimentSpec) -> Simulation {
-    let mut sim = Simulation::new(cfg, spec.algorithm.build(&spec.hyper));
-    sim.run();
-    sim
-}
-
 /// Participation Gini over the whole federation: counts for every client,
 /// zeros included for clients that never ran.
 fn participation_gini(sim: &Simulation) -> f64 {
@@ -137,14 +119,7 @@ fn participation_gini(sim: &Simulation) -> f64 {
     gini(&dense)
 }
 
-fn fmt_time(t: Option<f64>) -> String {
-    t.map(|s| format!("{s:.1}s")).unwrap_or_else(|| "—".into())
-}
-
-fn main() {
-    let cli = Cli::parse();
-    cli.banner("Availability scenarios — regime x selection x codec (4x device spread)");
-
+pub fn run(cli: &Cli) -> Value {
     let spec = ExperimentSpec::quickstart()
         .with_scale(cli.scale)
         .with_seed(cli.seed);
@@ -153,7 +128,8 @@ fn main() {
 
     // calibration run: the always-on / uniform / uncompressed federation
     // sets both the adaptive accuracy target and the deadline cutoff
-    let base = run(
+    let base = run_config(
+        &spec,
         cell_config(
             &spec,
             &regimes(1)[0],
@@ -161,7 +137,6 @@ fn main() {
             CompressionKind::None,
             0.0,
         ),
-        &spec,
     );
     let target = 0.90 * base.final_accuracy(5);
     let rounds = base.config().rounds;
@@ -194,11 +169,11 @@ fn main() {
         let deadline_secs = (regime.deadline_frac * mean_round_secs) as f32;
         for &selection in &selections {
             for &codec in &codecs {
-                let sim = run(
-                    cell_config(&spec, regime, selection, codec, deadline_secs),
+                let sim = run_config(
                     &spec,
+                    cell_config(&spec, regime, selection, codec, deadline_secs),
                 );
-                let (ts, accs) = series(sim.records());
+                let (ts, accs) = series(sim.records(), |r| r.virtual_time);
                 let t = time_to_target(&ts, &accs, target);
                 let g = participation_gini(&sim);
                 let seen = sim.participation_counts().len();
@@ -231,8 +206,5 @@ fn main() {
     println!("selection slows while Oort's loss x speed ranking recovers most of the");
     println!("lost time — at the price of a higher participation Gini (it concentrates");
     println!("work on the useful-and-fast clients until exploration rotates them out).");
-    match save_json(&cli.results, "scenario", &artifacts) {
-        Ok(path) => println!("artifact: {}", path.display()),
-        Err(e) => eprintln!("artifact write failed: {e}"),
-    }
+    Value::Array(artifacts)
 }

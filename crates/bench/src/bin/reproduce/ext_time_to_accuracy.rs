@@ -1,17 +1,12 @@
-//! `time_to_accuracy` — virtual wall-clock to a target accuracy, sync vs
+//! Extension — virtual wall-clock to a target accuracy, sync vs
 //! semi-async, under heterogeneous device profiles.
 //!
 //! The synchronous barrier waits for the slowest selected client every
 //! round, so its virtual time per round is governed by the tail of the
 //! device-speed distribution; the semi-async scheduler folds the first `B`
 //! arrivals and keeps stragglers' (staleness-discounted) work instead of
-//! discarding round boundaries. This binary quantifies that trade on one
-//! experiment cell across device speed spreads:
-//!
-//! ```bash
-//! cargo run --release -p fedtrip-bench --bin time_to_accuracy -- \
-//!     [--scale smoke|default|paper] [--seed S] [--results DIR]
-//! ```
+//! discarding round boundaries. This claim quantifies that trade on one
+//! experiment cell across device speed spreads.
 //!
 //! The semi-async run gets a 2x fold budget (each fold consumes `B = K/2`
 //! client results, half a synchronous round's work), and both modes are
@@ -19,41 +14,15 @@
 //! (90% of the sync run's final accuracy, which keeps the comparison
 //! meaningful at reduced scales).
 
+use fedtrip_bench::cases::{fmt_speedup, fmt_time, run_config, series};
 use fedtrip_bench::Cli;
-use fedtrip_core::engine::{RoundRecord, RunMode, Simulation};
+use fedtrip_core::engine::RunMode;
 use fedtrip_core::experiment::ExperimentSpec;
-use fedtrip_metrics::report::{save_json, Table};
+use fedtrip_metrics::report::Table;
 use fedtrip_metrics::time_to_target;
-use serde_json::json;
+use serde_json::{json, Value};
 
-/// (times, accuracies) of the evaluated rounds.
-fn series(records: &[RoundRecord]) -> (Vec<f64>, Vec<f64>) {
-    records
-        .iter()
-        .filter_map(|r| r.accuracy.map(|a| (r.virtual_time, a)))
-        .unzip()
-}
-
-fn run(spec: &ExperimentSpec, mode: RunMode, device_het: f32) -> Simulation {
-    let mut cfg = spec.to_config();
-    cfg.mode = mode;
-    cfg.device_het = device_het;
-    if mode == RunMode::SemiAsync {
-        cfg.rounds *= 2; // fair budget: one fold == B = K/2 client results
-    }
-    let mut sim = Simulation::new(cfg, spec.algorithm.build(&spec.hyper));
-    sim.run();
-    sim
-}
-
-fn fmt_time(t: Option<f64>) -> String {
-    t.map(|s| format!("{s:.1}s")).unwrap_or_else(|| "—".into())
-}
-
-fn main() {
-    let cli = Cli::parse();
-    cli.banner("Time to target accuracy — sync barrier vs semi-async buffer");
-
+pub fn run(cli: &Cli) -> Value {
     let spec = ExperimentSpec::quickstart()
         .with_scale(cli.scale)
         .with_seed(cli.seed);
@@ -72,28 +41,33 @@ fn main() {
     let mut artifacts = Vec::new();
 
     for device_het in [1.0f32, 2.0, 4.0] {
-        let sync = run(&spec, RunMode::Sync, device_het);
-        let semi = run(&spec, RunMode::SemiAsync, device_het);
+        let run = |mode: RunMode| {
+            let mut cfg = spec.to_config();
+            cfg.mode = mode;
+            cfg.device_het = device_het;
+            if mode == RunMode::SemiAsync {
+                cfg.rounds *= 2; // fair budget: one fold == B = K/2 client results
+            }
+            run_config(&spec, cfg)
+        };
+        let sync = run(RunMode::Sync);
+        let semi = run(RunMode::SemiAsync);
 
         let sync_final = sync.final_accuracy(5);
         let semi_final = semi.final_accuracy(5);
         let target = 0.90 * sync_final;
 
-        let (ts, accs) = series(sync.records());
+        let (ts, accs) = series(sync.records(), |r| r.virtual_time);
         let t_sync = time_to_target(&ts, &accs, target);
-        let (ts, accs) = series(semi.records());
+        let (ts, accs) = series(semi.records(), |r| r.virtual_time);
         let t_semi = time_to_target(&ts, &accs, target);
 
-        let speedup = match (t_sync, t_semi) {
-            (Some(a), Some(b)) if b > 0.0 => format!("{:.2}x", a / b),
-            _ => "—".into(),
-        };
         table.row(&[
             format!("{device_het:.0}x"),
             format!("{:.1}%", target * 100.0),
             fmt_time(t_sync),
             fmt_time(t_semi),
-            speedup,
+            fmt_speedup(t_sync, t_semi),
             format!("{:.1}%", sync_final * 100.0),
             format!("{:.1}%", semi_final * 100.0),
         ]);
@@ -108,8 +82,5 @@ fn main() {
     }
 
     println!("{}", table.render());
-    match save_json(&cli.results, "time_to_accuracy", &artifacts) {
-        Ok(path) => println!("artifact: {}", path.display()),
-        Err(e) => eprintln!("artifact write failed: {e}"),
-    }
+    Value::Array(artifacts)
 }

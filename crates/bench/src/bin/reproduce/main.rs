@@ -1,19 +1,22 @@
-//! `reproduce` — regenerate the paper's tables and figures.
+//! `reproduce` — regenerate the paper's tables and figures, and the
+//! runtime-extension sweeps (`ext_*`).
 //!
 //! ```bash
 //! cargo run --release -p fedtrip-bench --bin reproduce -- all --scale smoke
 //! cargo run --release -p fedtrip-bench --bin reproduce -- table4_comm_rounds
+//! cargo run --release -p fedtrip-bench --bin reproduce -- ext_scenario --scale default
 //! ```
 //!
 //! Each claim prints its banner and tables, then writes
-//! `<results>/<claim>.json`. Claims that run simulations share the cell
-//! cache under `<results>/cells/`, so `all` runs every cell once.
+//! `<results>/<claim>.json`. The paper claims share the cell cache under
+//! `<results>/cells/`, so `all` runs every cell once; the `ext_*` sweeps
+//! vary engine fields a cell key does not cover and always run.
 
 use fedtrip_bench::{Cli, USAGE};
 use fedtrip_metrics::report::save_json;
 use serde_json::Value;
 
-/// One paper artifact: its name (also the artifact file stem), the banner
+/// One artifact: its name (also the artifact file stem), the banner
 /// printed before it, and the body that prints its tables and returns the
 /// JSON artifact.
 struct Claim {
@@ -48,6 +51,9 @@ claims! {
     fig5_convergence: "Fig. 5 — CNN convergence curves under Dir-0.5 and Orthogonal-5",
     fig6_boxplots: "Fig. 6 — final-accuracy boxplots on FMNIST (CNN and MLP)",
     fig7_mu_sensitivity: "Fig. 7 — FedTrip mu sensitivity (+ xi ablation)",
+    ext_time_to_accuracy: "Time to target accuracy — sync barrier vs semi-async buffer",
+    ext_comm_efficiency: "Communication efficiency — codec pairs (up x down) x device spread (sync barrier)",
+    ext_scenario: "Availability scenarios — regime x selection x codec (4x device spread)",
 }
 
 /// The claims named by the first argument: one by name, or `all`.
@@ -87,7 +93,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn claim_names_are_the_twelve_artifacts() {
+    fn claim_names_are_the_paper_and_extension_artifacts() {
         let names: Vec<&str> = CLAIMS.iter().map(|c| c.name).collect();
         assert_eq!(
             names,
@@ -104,6 +110,9 @@ mod tests {
                 "fig5_convergence",
                 "fig6_boxplots",
                 "fig7_mu_sensitivity",
+                "ext_time_to_accuracy",
+                "ext_comm_efficiency",
+                "ext_scenario",
             ]
         );
         let mut unique = names.clone();

@@ -1,9 +1,11 @@
 //! The paper's Table IV / Table V experiment cases and reported values,
-//! plus the paper-cell spec and the six-method sweep the drivers share.
+//! plus the paper-cell spec and the six-method sweep the drivers share, and
+//! the run-and-score helpers of the uncached extension sweeps.
 
 use crate::cells::{run_or_load, CellResult};
 use crate::Cli;
 use fedtrip_core::algorithms::AlgorithmKind;
+use fedtrip_core::engine::{RoundRecord, Simulation, SimulationConfig};
 use fedtrip_core::experiment::ExperimentSpec;
 use fedtrip_data::partition::HeterogeneityKind;
 use fedtrip_data::synth::DatasetKind;
@@ -144,6 +146,37 @@ pub fn run_methods(results: &Path, spec: &ExperimentSpec) -> (Vec<CellResult>, V
     let finals: Vec<f64> = cells.iter().map(|c| c.final_accuracy(10)).collect();
     let adaptive = adaptive_target(&finals, 0.90);
     (cells, finals, adaptive)
+}
+
+/// Run `cfg` to completion with `spec`'s method and hyper-parameters. The
+/// extension sweeps set engine fields `ExperimentSpec` does not carry, so
+/// their runs bypass the cell cache.
+pub fn run_config(spec: &ExperimentSpec, cfg: SimulationConfig) -> Simulation {
+    let mut sim = Simulation::new(cfg, spec.algorithm.build(&spec.hyper));
+    sim.run();
+    sim
+}
+
+/// `(x, accuracy)` of the evaluated rounds, where `x` is read from each
+/// record — virtual seconds or cumulative bytes.
+pub fn series(records: &[RoundRecord], x: impl Fn(&RoundRecord) -> f64) -> (Vec<f64>, Vec<f64>) {
+    records
+        .iter()
+        .filter_map(|r| r.accuracy.map(|a| (x(r), a)))
+        .unzip()
+}
+
+/// Virtual seconds as `12.3s`, or `—` when the target was never reached.
+pub fn fmt_time(t: Option<f64>) -> String {
+    t.map(|s| format!("{s:.1}s")).unwrap_or_else(|| "—".into())
+}
+
+/// `baseline / t` as `1.23x`, or `—` unless both reached the target.
+pub fn fmt_speedup(baseline: Option<f64>, t: Option<f64>) -> String {
+    match (baseline, t) {
+        (Some(a), Some(b)) if b > 0.0 => format!("{:.2}x", a / b),
+        _ => "—".into(),
+    }
 }
 
 #[cfg(test)]

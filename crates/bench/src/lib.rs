@@ -2,16 +2,17 @@
 //!
 //! Experiment drivers for the paper's evaluation. One `reproduce` binary
 //! regenerates every table and figure (`reproduce table4_comm_rounds`,
-//! `reproduce all`, ...), and the runtime extensions have their own:
-//! `time_to_accuracy` (sync-barrier vs semi-async virtual wall-clock under
-//! heterogeneous device profiles) and `comm_efficiency` (upload codec ×
-//! device spread, scored by virtual seconds to an adaptive accuracy
-//! target); all of them share:
+//! `reproduce all`, ...) and the runtime-extension sweeps:
+//! `ext_time_to_accuracy` (sync-barrier vs semi-async virtual wall-clock
+//! under heterogeneous device profiles), `ext_comm_efficiency` (codec pair
+//! × device spread, scored by virtual seconds and bytes to an adaptive
+//! accuracy target) and `ext_scenario` (availability regime × selection ×
+//! codec). Its claims share:
 //!
 //! * [`Cli`] — a tiny flag parser (`--scale smoke|default|paper`,
 //!   `--trials N`, `--seed S`, `--results DIR`),
-//! * [`cases`] — the paper's cases, the default paper cell and the
-//!   six-method sweep,
+//! * [`cases`] — the paper's cases, the default paper cell, the
+//!   six-method sweep and the extension sweeps' run-and-score helpers,
 //! * [`cells`] — a cached cell runner: a *cell* is one
 //!   (dataset, model, heterogeneity, participation, method) simulation, and
 //!   its round records are cached as JSON under `results/` so that claims
@@ -31,7 +32,7 @@ pub mod cells;
 use fedtrip_core::experiment::Scale;
 use std::path::PathBuf;
 
-/// Common command-line options for the experiment binaries.
+/// Common command-line options of the `reproduce` claims.
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Execution scale.
@@ -88,14 +89,6 @@ impl Cli {
             }
         }
         Ok(cli)
-    }
-
-    /// Parse `std::env::args()`; a bad flag exits 2 with the usage message.
-    pub fn parse() -> Cli {
-        Cli::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
-            eprintln!("{e}\nusage: {USAGE}");
-            std::process::exit(2);
-        })
     }
 
     /// Human-readable run banner.

@@ -1,5 +1,6 @@
 //! `flrun` checks the assembled configuration with
-//! `SimulationConfig::validate` and rejects an invalid one with exit code 2
+//! `SimulationConfig::validate`, and the method's hyper-parameters with
+//! `AlgorithmKind::validate`, and rejects an invalid one with exit code 2
 //! and validate's message, before it builds or runs anything.
 
 use std::process::Command;
@@ -28,6 +29,15 @@ fn invalid_config_exits_2_with_validate_message() {
         ),
         (&["--device-het", "0.5"], "device_het must be >= 1"),
         (&["--edges", "0"], "need at least one edge aggregator"),
+        (&["--het", "dir0"], "Dirichlet alpha must be positive"),
+        (&["--het", "dirinf"], "Dirichlet alpha must be positive"),
+        (&["--het", "orth0"], "orthogonal clusters must be in 1..=10"),
+        (
+            &["--het", "orth11"],
+            "orthogonal clusters must be in 1..=10",
+        ),
+        (&["--mu", "-1"], "FedTrip mu must be non-negative"),
+        (&["--mu", "NaN"], "FedTrip mu must be non-negative"),
     ] {
         let args = [&["--scale", "smoke", "--rounds", "1"][..], flags].concat();
         let (code, stderr) = flrun(&args);

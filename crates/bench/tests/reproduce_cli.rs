@@ -1,5 +1,5 @@
 //! `reproduce` rejects a bad command line with exit code 2 before it runs
-//! any claim.
+//! any claim, and an extension sweep's artifact is deterministic.
 
 use std::process::Command;
 
@@ -35,4 +35,31 @@ fn bad_flags_exit_2_with_usage() {
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: reproduce <claim|all>"), "{stderr}");
     }
+}
+
+#[test]
+fn ext_time_to_accuracy_artifact_is_byte_stable() {
+    let artifacts: Vec<Vec<u8>> = (0..2)
+        .map(|run| {
+            let dir =
+                std::env::temp_dir().join(format!("fedtrip_repro_{}_{run}", std::process::id()));
+            let dir_arg = dir.to_str().expect("utf-8 temp dir");
+            let (code, stderr) = reproduce(&[
+                "ext_time_to_accuracy",
+                "--scale",
+                "smoke",
+                "--results",
+                dir_arg,
+            ]);
+            assert_eq!(code, Some(0), "{stderr}");
+            let bytes = std::fs::read(dir.join("ext_time_to_accuracy.json")).expect("artifact");
+            let _ = std::fs::remove_dir_all(&dir);
+            bytes
+        })
+        .collect();
+    assert!(!artifacts[0].is_empty());
+    assert!(
+        artifacts[0] == artifacts[1],
+        "two runs wrote different artifacts"
+    );
 }

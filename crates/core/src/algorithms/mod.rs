@@ -698,6 +698,38 @@ impl AlgorithmKind {
         })
     }
 
+    /// Check the hyper-parameters this method's constructor asserts on, so
+    /// that a bad flag or snapshot surfaces as an error before
+    /// [`AlgorithmKind::build`] panics. Fields the method does not read are
+    /// not checked.
+    pub fn validate(&self, hp: &HyperParams) -> Result<(), String> {
+        let check = |ok: bool, msg: &str| if ok { Ok(()) } else { Err(msg.to_string()) };
+        let unit = |beta: f32| (0.0..1.0).contains(&beta);
+        match self {
+            AlgorithmKind::FedAvg | AlgorithmKind::Scaffold => Ok(()),
+            AlgorithmKind::FedProx => {
+                check(hp.fedprox_mu >= 0.0, "FedProx mu must be non-negative")
+            }
+            AlgorithmKind::FedTrip => {
+                check(hp.fedtrip_mu >= 0.0, "FedTrip mu must be non-negative")?;
+                match hp.xi_mode {
+                    XiMode::Fixed(xi) => check(xi >= 0.0, "fixed xi must be non-negative"),
+                    XiMode::Gap | XiMode::RawGap => Ok(()),
+                }
+            }
+            AlgorithmKind::Moon => {
+                check(hp.moon_mu >= 0.0, "MOON mu must be non-negative")?;
+                check(hp.moon_tau > 0.0, "MOON tau must be positive")
+            }
+            AlgorithmKind::FedDyn => check(hp.feddyn_alpha > 0.0, "FedDyn alpha must be positive"),
+            AlgorithmKind::SlowMo => {
+                check(unit(hp.slowmo_beta), "SlowMo beta must be in [0,1)")?;
+                check(hp.slowmo_lr > 0.0, "SlowMo server lr must be positive")
+            }
+            AlgorithmKind::MimeLite => check(unit(hp.mime_beta), "MimeLite beta must be in [0,1)"),
+        }
+    }
+
     /// Instantiate the method with the given hyper-parameters.
     pub fn build(&self, hp: &HyperParams) -> Box<dyn Algorithm> {
         match self {
@@ -810,6 +842,38 @@ mod tests {
         for k in AlgorithmKind::ALL {
             let alg = k.build(&hp);
             assert_eq!(alg.name(), k.name());
+        }
+    }
+
+    #[test]
+    fn validate_rejects_only_what_the_method_reads() {
+        let hp = HyperParams::default();
+        for k in AlgorithmKind::ALL {
+            assert_eq!(k.validate(&hp), Ok(()), "{}", k.name());
+        }
+        for mu in [-1.0, f32::NAN] {
+            let bad = HyperParams {
+                fedtrip_mu: mu,
+                ..hp
+            };
+            let err = AlgorithmKind::FedTrip.validate(&bad).unwrap_err();
+            assert_eq!(err, "FedTrip mu must be non-negative");
+            assert_eq!(AlgorithmKind::Moon.validate(&bad), Ok(()));
+        }
+        type Corrupt = fn(&mut HyperParams);
+        let cases: [(AlgorithmKind, Corrupt); 7] = [
+            (AlgorithmKind::FedTrip, |h| h.xi_mode = XiMode::Fixed(-0.5)),
+            (AlgorithmKind::FedProx, |h| h.fedprox_mu = -0.1),
+            (AlgorithmKind::Moon, |h| h.moon_tau = 0.0),
+            (AlgorithmKind::FedDyn, |h| h.feddyn_alpha = 0.0),
+            (AlgorithmKind::SlowMo, |h| h.slowmo_beta = 1.0),
+            (AlgorithmKind::SlowMo, |h| h.slowmo_lr = f32::NAN),
+            (AlgorithmKind::MimeLite, |h| h.mime_beta = -0.1),
+        ];
+        for (kind, corrupt) in cases {
+            let mut bad = hp;
+            corrupt(&mut bad);
+            assert!(kind.validate(&bad).is_err(), "{}: {bad:?}", kind.name());
         }
     }
 

@@ -306,6 +306,7 @@ impl Checkpoint {
         // asserts: re-check its invariants as a clean error first
         self.config
             .validate()
+            .and_then(|()| self.algorithm.validate(&self.hyper))
             .map_err(RestoreError::InvalidConfig)?;
         let mut sim = Simulation::new(self.config, self.algorithm.build(&self.hyper));
         self.state
@@ -766,6 +767,41 @@ mod tests {
         let err = load_patched("\"algorithm\":\"FedTrip\",", "");
         let want = format!("snapshot does not fit the v{CHECKPOINT_VERSION} layout");
         assert!(err.contains(&want), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_bad_hyper_and_partition_without_panicking() {
+        // the committed snapshot with a header value patched that
+        // AlgorithmKind::build or Partition::build would assert on
+        let committed = fs::read(format!(
+            "{}/tests/snapshot_v{CHECKPOINT_VERSION}_fedtrip.ckpt",
+            env!("CARGO_MANIFEST_DIR")
+        ))
+        .expect("committed snapshot");
+        let nl = committed.iter().position(|&b| b == b'\n').unwrap();
+        let header = std::str::from_utf8(&committed[..nl]).unwrap();
+        let path = std::env::temp_dir().join("fedtrip_ckpt_invalid_config_test.ckpt");
+        for (from, to, want) in [
+            (
+                "\"fedtrip_mu\":0.4000000059604645",
+                "\"fedtrip_mu\":-1.0",
+                "FedTrip mu must be non-negative",
+            ),
+            (
+                "{\"Dirichlet\":0.5}",
+                "{\"Dirichlet\":0}",
+                "Dirichlet alpha must be positive",
+            ),
+        ] {
+            let patched = header.replacen(from, to, 1);
+            assert_ne!(patched, header, "{from} not in the header");
+            fs::write(&path, [patched.as_bytes(), &committed[nl..]].concat()).unwrap();
+            let ckpt = Checkpoint::load(&path).expect("patched snapshot loads");
+            let err = ckpt.restore().map(|_| ()).unwrap_err();
+            assert!(matches!(err, RestoreError::InvalidConfig(_)), "{to}: {err}");
+            assert!(err.to_string().contains(want), "{to}: {err}");
+        }
+        let _ = fs::remove_file(&path);
     }
 
     #[test]

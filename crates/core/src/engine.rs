@@ -222,6 +222,19 @@ impl SimulationConfig {
         if self.test_per_class == 0 {
             return Err("test_per_class must be positive".into());
         }
+        // Partition::build asserts these, or draws from NaN class weights
+        match self.heterogeneity {
+            HeterogeneityKind::Dirichlet(alpha) if !(alpha.is_finite() && alpha > 0.0) => {
+                return Err("Dirichlet alpha must be positive and finite".into());
+            }
+            HeterogeneityKind::Orthogonal(k) if k == 0 || k > self.dataset.spec().classes => {
+                return Err(format!(
+                    "orthogonal clusters must be in 1..={} (the dataset's classes)",
+                    self.dataset.spec().classes
+                ));
+            }
+            _ => {}
+        }
         // the local optimizers assert these; reject them here instead
         if !(self.lr.is_finite() && self.lr > 0.0) {
             return Err("lr must be positive and finite".into());
@@ -341,7 +354,8 @@ pub enum RestoreError {
     /// id or duplicate).
     InvalidClientStates(String),
     /// The snapshot's recorded configuration is internally inconsistent
-    /// (would fail [`Simulation::new`]'s invariants).
+    /// (would fail [`Simulation::new`]'s invariants), or its
+    /// hyper-parameters fail [`AlgorithmKind::validate`](crate::algorithms::AlgorithmKind::validate).
     InvalidConfig(String),
     /// A broadcast vector does not fit the configured downlink: a dense
     /// downlink carries none, a delta downlink one per model parameter.
@@ -644,7 +658,7 @@ impl Simulation {
 
     /// Per-client fold counts so far (clients that never folded are
     /// absent), counted from the records' `selected` lists. Feeds the
-    /// participation-Gini diagnostic of the `scenario` bench.
+    /// participation-Gini diagnostic of the `reproduce ext_scenario` claim.
     pub fn participation_counts(&self) -> BTreeMap<usize, u64> {
         let mut counts = BTreeMap::new();
         for &c in self.state.records.iter().flat_map(|r| &r.selected) {
