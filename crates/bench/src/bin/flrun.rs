@@ -373,6 +373,10 @@ fn main() {
         );
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the `wall:` line reports run time to the user, never fed back into the run"
+    )]
     let t0 = std::time::Instant::now();
     sim.run();
     let records = sim.records();

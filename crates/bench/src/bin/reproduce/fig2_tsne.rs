@@ -78,7 +78,7 @@ fn local_round(
     net.set_params_flat(global);
     let mut opt = SgdMomentum::new(0.01, 0.9);
     let refs = sim.partition().shard(client);
-    let mut rng = Prng::derive(seed, &[rng_tags::TSNE_INIT, client as u64]);
+    let mut rng = Prng::derive(seed, rng_tags::TSNE_INIT, &[client as u64]);
     for (x, y) in BatchIter::new(ds, &refs, sim.config().batch_size, &mut rng) {
         net.zero_grads();
         net.train_step(&x, &y);

@@ -83,7 +83,13 @@ fn main() {
     for claim in claims {
         cli.banner(claim.banner);
         let artifact = (claim.run)(&cli);
-        let path = save_json(&cli.results, claim.name, &artifact).expect("write artifact");
+        let path = save_json(&cli.results, claim.name, &artifact).unwrap_or_else(|e| {
+            usage(format!(
+                "cannot write artifact {}/{}.json: {e}",
+                cli.results.display(),
+                claim.name
+            ))
+        });
         println!("artifact: {}", path.display());
     }
 }

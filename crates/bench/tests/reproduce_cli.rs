@@ -1,5 +1,6 @@
-//! `reproduce` rejects a bad command line with exit code 2 before it runs
-//! any claim, and an extension sweep's artifact is deterministic.
+//! `reproduce` rejects a bad command line with exit code 2 (before it runs
+//! any claim, or when `--results` cannot take the artifact), and an
+//! extension sweep's artifact is deterministic.
 
 use std::process::Command;
 
@@ -35,6 +36,20 @@ fn bad_flags_exit_2_with_usage() {
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: reproduce <claim|all>"), "{stderr}");
     }
+}
+
+#[test]
+fn unwritable_results_dir_exits_2() {
+    let file = std::env::temp_dir().join(format!("fedtrip_repro_file_{}", std::process::id()));
+    std::fs::write(&file, b"not a directory").expect("temp file");
+    let file_arg = file.to_str().expect("utf-8 temp path");
+    let (code, stderr) = reproduce(&["table2_datasets", "--scale", "smoke", "--results", file_arg]);
+    let _ = std::fs::remove_file(&file);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("reproduce: cannot write artifact"),
+        "{stderr}"
+    );
 }
 
 #[test]

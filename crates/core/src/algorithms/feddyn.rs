@@ -89,9 +89,10 @@ impl Algorithm for FedDyn {
         let global = ctx.global;
         // lambda is borrowed, not cloned: the fused sweep only reads it,
         // and the post-round update below happens after the borrow ends
+        #[expect(clippy::expect_used, reason = "correction seeded earlier in this call")]
         let adjust = GradAdjust::DynReg {
             alpha,
-            lambda: state.correction.as_deref().expect("initialized above"), // lint:allow(panic) — correction seeded earlier in this call
+            lambda: state.correction.as_deref().expect("initialized above"),
             global,
         };
         let mut opt = self.make_optimizer(ctx.lr, ctx.momentum);
@@ -99,7 +100,8 @@ impl Algorithm for FedDyn {
 
         let params = net.params_flat();
         // lambda_k <- lambda_k - alpha (w_k - w_global)
-        let lam = state.correction.as_mut().expect("initialized above"); // lint:allow(panic) — correction seeded earlier in this call
+        #[expect(clippy::expect_used, reason = "correction seeded earlier in this call")]
+        let lam = state.correction.as_mut().expect("initialized above");
         for ((lv, &wv), &gl) in lam.iter_mut().zip(&params).zip(global) {
             *lv -= alpha * (wv - gl);
         }

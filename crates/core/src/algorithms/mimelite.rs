@@ -64,7 +64,7 @@ fn full_batch_gradient(net: &mut Sequential, data: &ClientData<'_>, chunk: usize
         // train_step averages over its own batch; re-weight to a global mean
         let w = (end - off) as f64 / n as f64;
         for (a, &gv) in acc.iter_mut().zip(&g) {
-            *a += w * gv as f64; // lint:allow(float-fold) — chunk order is fixed by the data-ref sequence
+            *a += w * gv as f64;
         }
         off = end;
     }

@@ -84,12 +84,8 @@ impl LocalContext<'_> {
     pub fn epoch_rng(&self, epoch: usize) -> Prng {
         Prng::derive(
             self.seed,
-            &[
-                rng_tags::EPOCH_SHUFFLE,
-                self.round as u64,
-                self.client_id as u64,
-                epoch as u64,
-            ],
+            rng_tags::EPOCH_SHUFFLE,
+            &[self.round as u64, self.client_id as u64, epoch as u64],
         )
     }
 }

@@ -149,7 +149,7 @@ impl Algorithm for Moon {
 
                 iterations += 1;
                 samples += batch;
-                loss_sum += ce_loss + self.mu as f64 * con_sum / batch as f64; // lint:allow(float-fold) — scalar loss bookkeeping in fixed batch order, not a param fold
+                loss_sum += ce_loss + self.mu as f64 * con_sum / batch as f64;
             }
         }
 

@@ -77,9 +77,10 @@ impl Algorithm for Scaffold {
         };
         // the client variate is borrowed, not cloned: the fused sweep only
         // reads it, and the option-II refresh below runs in place
+        #[expect(clippy::expect_used, reason = "correction seeded earlier in this call")]
         let adjust = GradAdjust::ControlVariates {
             c_server,
-            c_client: state.correction.as_deref().expect("initialized above"), // lint:allow(panic) — correction seeded earlier in this call
+            c_client: state.correction.as_deref().expect("initialized above"),
         };
         let mut opt = self.make_optimizer(ctx.lr, ctx.momentum);
         let (iterations, samples, mean_loss) = run_local_sgd(net, data, ctx, opt.as_mut(), &adjust);
@@ -89,7 +90,8 @@ impl Algorithm for Scaffold {
         let scale = 1.0 / (iterations.max(1) as f32 * ctx.lr);
         let mut delta_c = vec![0.0f32; n];
         {
-            let ck = state.correction.as_mut().expect("initialized above"); // lint:allow(panic) — correction seeded earlier in this call
+            #[expect(clippy::expect_used, reason = "correction seeded earlier in this call")]
+            let ck = state.correction.as_mut().expect("initialized above");
             for i in 0..n {
                 let fresh = ck[i] - c_server[i] + (ctx.global[i] - params[i]) * scale;
                 delta_c[i] = fresh - ck[i];

@@ -891,7 +891,8 @@ impl Simulation {
                 1.0
             },
         });
-        state.records.last().expect("just pushed") // lint:allow(panic) — record pushed on the line above
+        #[expect(clippy::expect_used, reason = "record pushed on the line above")]
+        state.records.last().expect("just pushed")
     }
 
     /// Run all configured rounds (continues from wherever the simulation

@@ -27,6 +27,14 @@
 //!   table/figure binary in `fedtrip-bench`.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason,
+    clippy::iter_over_hash_type
+)]
 #![warn(missing_docs)]
 
 pub mod algorithms;

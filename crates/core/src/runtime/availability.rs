@@ -126,7 +126,7 @@ impl AvailabilityModel {
         if self.period == 0 {
             return true;
         }
-        let mut rng = Prng::derive(self.seed, &[rng_tags::AVAIL, client as u64]);
+        let mut rng = Prng::derive(self.seed, rng_tags::AVAIL, &[client as u64]);
         let phase = rng.below(self.period);
         let on_rounds =
             ((self.on_fraction as f64 * self.period as f64).round() as usize).clamp(1, self.period);
@@ -141,7 +141,7 @@ impl AvailabilityModel {
         if self.join_window == 0 {
             return (0, usize::MAX);
         }
-        let mut rng = Prng::derive(self.seed, &[rng_tags::CHURN, client as u64]);
+        let mut rng = Prng::derive(self.seed, rng_tags::CHURN, &[client as u64]);
         let join = rng.below(self.join_window + 1);
         let lifetime = self.residency + rng.below(self.residency);
         (join, join + lifetime)

@@ -106,7 +106,7 @@ impl DeviceProfile {
     /// Panics when `speed_spread < 1`.
     pub fn derive(seed: u64, client: usize, speed_spread: f64) -> DeviceProfile {
         assert!(speed_spread >= 1.0, "speed_spread must be >= 1");
-        let mut rng = Prng::derive(seed, &[rng_tags::DEVICE, client as u64]);
+        let mut rng = Prng::derive(seed, rng_tags::DEVICE, &[client as u64]);
         let u = rng.uniform() as f64;
         let mult = speed_spread.powf(u);
         DeviceProfile {

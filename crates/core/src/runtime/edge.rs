@@ -197,9 +197,13 @@ impl EdgeTier {
             }
             *slot = Some((fold, stats));
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "every bucket filled by the fold loop above"
+        )]
         let mut folds: Vec<PartialFold> = work
             .into_iter()
-            .map(|(_, slot)| slot.expect("every bucket folded")) // lint:allow(panic) — every bucket filled by the fold loop above
+            .map(|(_, slot)| slot.expect("every bucket folded"))
             .collect();
 
         // root merge: fixed pairwise tree, ascending edge order; the pairs
@@ -218,7 +222,8 @@ impl EdgeTier {
             });
             folds = pairs.into_iter().map(|(left, _)| left).collect();
         }
-        let (fold, folded) = folds.pop().expect("non-empty cohort"); // lint:allow(panic) — caller guarantees a non-empty cohort
+        #[expect(clippy::expect_used, reason = "caller guarantees a non-empty cohort")]
+        let (fold, folded) = folds.pop().expect("non-empty cohort");
         (fold, folded, active)
     }
 }

@@ -248,7 +248,7 @@ impl Sampler {
     /// engine: `(SELECT, t)` stream, no reachability filter.
     fn select_unfiltered(&self, t: usize) -> Vec<usize> {
         let (n, k) = (self.n_clients, self.clients_per_round);
-        let mut sel_rng = Prng::derive(self.seed, &[rng_tags::SELECT, t as u64]);
+        let mut sel_rng = Prng::derive(self.seed, rng_tags::SELECT, &[t as u64]);
         let mut selected = match self.strategy {
             // `Oort` only lands here through the liveness fallback, where
             // no scoring is possible — degrade to uniform
@@ -269,7 +269,7 @@ impl Sampler {
     /// available pool when the draw cap runs out.
     fn select_uniform_filtered(&self, t: usize) -> Vec<usize> {
         let (n, k) = (self.n_clients, self.clients_per_round);
-        let mut rng = Prng::derive(self.seed, &[rng_tags::SELECT, t as u64]);
+        let mut rng = Prng::derive(self.seed, rng_tags::SELECT, &[t as u64]);
         let mut picked: Vec<usize> = Vec::with_capacity(k);
         let cap = 16 * k + 64;
         let mut attempts = 0;
@@ -317,7 +317,7 @@ impl Sampler {
     /// Weighted-by-samples over the available set: unreachable clients get
     /// zero weight (O(N), like the unfiltered weighted path).
     fn select_weighted_filtered(&self, t: usize) -> Vec<usize> {
-        let mut rng = Prng::derive(self.seed, &[rng_tags::SELECT, t as u64]);
+        let mut rng = Prng::derive(self.seed, rng_tags::SELECT, &[t as u64]);
         let weights: Vec<f64> = (0..self.n_clients)
             .map(|c| {
                 if self.availability.is_available(c, t) {
@@ -346,7 +346,7 @@ impl Sampler {
     /// entries.
     fn select_oort(&self, t: usize, utility: &UtilityTable) -> Vec<usize> {
         let (n, k) = (self.n_clients, self.clients_per_round);
-        let mut rng = Prng::derive(self.seed, &[rng_tags::OORT, t as u64]);
+        let mut rng = Prng::derive(self.seed, rng_tags::OORT, &[t as u64]);
         let mut scored: Vec<(f64, usize)> = utility
             .iter()
             .filter(|&(c, _)| c < n && self.availability.is_available(c, t))
@@ -392,7 +392,7 @@ impl Sampler {
         if self.failure_prob <= 0.0 {
             return selected.to_vec();
         }
-        let mut rng = Prng::derive(self.seed, &[rng_tags::FAILURE, t as u64]);
+        let mut rng = Prng::derive(self.seed, rng_tags::FAILURE, &[t as u64]);
         let mut survivors: Vec<usize> = selected
             .iter()
             .copied()
@@ -400,7 +400,7 @@ impl Sampler {
             .collect();
         if survivors.is_empty() {
             // seed-derived survivor election so the round still aggregates
-            let mut surv_rng = Prng::derive(self.seed, &[rng_tags::SURVIVOR, t as u64]);
+            let mut surv_rng = Prng::derive(self.seed, rng_tags::SURVIVOR, &[t as u64]);
             survivors.push(selected[surv_rng.below(selected.len())]);
         }
         survivors
@@ -427,7 +427,7 @@ impl Sampler {
         if k == 0 {
             return Vec::new();
         }
-        let mut rng = Prng::derive(self.seed, &[rng_tags::DISPATCH, t as u64]);
+        let mut rng = Prng::derive(self.seed, rng_tags::DISPATCH, &[t as u64]);
         let mut picked: Vec<usize> = match self.strategy {
             // Oort degrades to uniform on the redispatch path (no utility
             // snapshot in scope — see the variant docs)
@@ -487,7 +487,7 @@ impl Sampler {
             return Vec::new();
         }
         let is_busy = |c: usize| busy.binary_search(&c).is_ok();
-        let mut rng = Prng::derive(self.seed, &[rng_tags::DISPATCH, t as u64]);
+        let mut rng = Prng::derive(self.seed, rng_tags::DISPATCH, &[t as u64]);
         // weighted-by-samples over uniform sizes IS uniform selection;
         // Oort degrades to uniform here (no utility snapshot in scope)
         let uniform = matches!(
@@ -719,13 +719,13 @@ mod tests {
         for t in 1..=8 {
             let sel = s.select(t);
             let surv = s.apply_failures(t, &sel);
-            let mut rng = Prng::derive(42, &[rng_tags::SURVIVOR, t as u64]);
+            let mut rng = Prng::derive(42, rng_tags::SURVIVOR, &[t as u64]);
             assert_eq!(surv, vec![sel[rng.below(sel.len())]]);
             // shrinking the cohort changes the failure-draw count but not
             // the election stream
             let prefix = &sel[..sel.len() - 1];
             let surv_prefix = s.apply_failures(t, prefix);
-            let mut rng = Prng::derive(42, &[rng_tags::SURVIVOR, t as u64]);
+            let mut rng = Prng::derive(42, rng_tags::SURVIVOR, &[t as u64]);
             assert_eq!(surv_prefix, vec![prefix[rng.below(prefix.len())]]);
         }
     }

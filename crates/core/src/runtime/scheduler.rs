@@ -360,9 +360,13 @@ impl SemiAsync {
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "finish times are finite by construction"
+                )]
                 a.finish
                     .partial_cmp(&b.finish)
-                    .expect("finite finish times") // lint:allow(panic) — finish times are finite by construction
+                    .expect("finite finish times")
                     .then(a.client.cmp(&b.client))
             })
             .map(|(i, _)| i)
@@ -396,7 +400,11 @@ impl Scheduler for SemiAsync {
         //    holds B results (or nothing is left in flight).
         let jobs = &mut *rt.scheduler;
         while jobs.buffer.len() < self.buffer_size && !jobs.in_flight.is_empty() {
-            let idx = Self::next_arrival(&jobs.in_flight).expect("in_flight non-empty"); // lint:allow(panic) — loop condition keeps in_flight non-empty
+            #[expect(
+                clippy::expect_used,
+                reason = "loop condition keeps in_flight non-empty"
+            )]
+            let idx = Self::next_arrival(&jobs.in_flight).expect("in_flight non-empty");
             let job = jobs.in_flight.swap_remove(idx);
             rt.clock.advance_to(job.finish);
             jobs.buffer.push(job);

@@ -16,6 +16,14 @@
 //! [`synth::SampleRef`]s and synthesize mini-batches on demand.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason,
+    clippy::iter_over_hash_type
+)]
 
 pub mod loader;
 pub mod partition;

@@ -190,9 +190,10 @@ impl Partition {
     /// passed to [`Partition::shard`]); the population-scale bench asserts
     /// this stays O(participants).
     pub fn resident_shards(&self) -> usize {
+        #[expect(clippy::expect_used, reason = "poisoning implies a prior panic")]
         self.cache
             .lock()
-            .expect("partition cache poisoned") // lint:allow(panic) — poisoning implies a prior panic
+            .expect("partition cache poisoned")
             .shards
             .len()
     }
@@ -210,7 +211,8 @@ impl Partition {
             "client {client} out of range (n_clients {})",
             self.n_clients
         );
-        let mut cache = self.cache.lock().expect("partition cache poisoned"); // lint:allow(panic) — poisoning implies a prior panic
+        #[expect(clippy::expect_used, reason = "poisoning implies a prior panic")]
+        let mut cache = self.cache.lock().expect("partition cache poisoned");
         if let Some(s) = cache.shards.get(&client) {
             return Arc::clone(s);
         }
@@ -259,12 +261,12 @@ impl Partition {
     fn client_rng_and_weights(&self, client: usize) -> (Prng, Vec<f64>) {
         match self.kind {
             HeterogeneityKind::Iid => {
-                let rng = Prng::derive(self.seed, &[rng_tags::PARTITION_IID, client as u64]);
+                let rng = Prng::derive(self.seed, rng_tags::PARTITION_IID, &[client as u64]);
                 (rng, vec![1.0; self.classes])
             }
             HeterogeneityKind::Dirichlet(alpha) => {
                 let mut rng =
-                    Prng::derive(self.seed, &[rng_tags::PARTITION_DIRICHLET, client as u64]);
+                    Prng::derive(self.seed, rng_tags::PARTITION_DIRICHLET, &[client as u64]);
                 let probs = dirichlet(alpha, self.classes, &mut rng);
                 (rng, probs)
             }
@@ -277,7 +279,7 @@ impl Partition {
                 let probs: Vec<f64> = (0..self.classes)
                     .map(|cl| if cl >= lo && cl < hi { 1.0 } else { 0.0 })
                     .collect();
-                let rng = Prng::derive(self.seed, &[rng_tags::PARTITION_ORTHOGONAL, client as u64]);
+                let rng = Prng::derive(self.seed, rng_tags::PARTITION_ORTHOGONAL, &[client as u64]);
                 (rng, probs)
             }
         }
@@ -325,7 +327,8 @@ impl Partition {
     /// shards it draws, so analysis over a small federation stays cheap and
     /// a large one doesn't pin O(N) shard memory.
     pub fn label_histograms(&self) -> Vec<Vec<usize>> {
-        let mut cache = self.cache.lock().expect("partition cache poisoned"); // lint:allow(panic) — poisoning implies a prior panic
+        #[expect(clippy::expect_used, reason = "poisoning implies a prior panic")]
+        let mut cache = self.cache.lock().expect("partition cache poisoned");
         (0..self.n_clients)
             .map(|c| {
                 let mut h = vec![0usize; self.classes];
@@ -426,10 +429,11 @@ impl ClassPools {
             }
             // floating-point edge: fall back to the last viable class
             let c = chosen.unwrap_or_else(|| {
+                #[expect(clippy::expect_used, reason = "guarded by total > 0 above")]
                 (0..weights.len())
                     .rev()
                     .find(|&c| self.remaining(c) > 0 && weights[c] > 0.0)
-                    .expect("viable class exists because total > 0") // lint:allow(panic) — guarded by total > 0 above
+                    .expect("viable class exists because total > 0")
             });
             out.push(SampleRef {
                 class: c as u16,
@@ -478,11 +482,11 @@ mod tests {
             .map(|c| match kind {
                 HeterogeneityKind::Iid => {
                     let probs = vec![1.0; spec.classes];
-                    let mut rng = Prng::derive(seed, &[rng_tags::PARTITION_IID, c as u64]);
+                    let mut rng = Prng::derive(seed, rng_tags::PARTITION_IID, &[c as u64]);
                     pools.draw(&probs, spec.client_samples, &mut rng)
                 }
                 HeterogeneityKind::Dirichlet(alpha) => {
-                    let mut rng = Prng::derive(seed, &[rng_tags::PARTITION_DIRICHLET, c as u64]);
+                    let mut rng = Prng::derive(seed, rng_tags::PARTITION_DIRICHLET, &[c as u64]);
                     let probs = dirichlet(alpha, spec.classes, &mut rng);
                     pools.draw(&probs, spec.client_samples, &mut rng)
                 }
@@ -493,7 +497,7 @@ mod tests {
                     let probs: Vec<f64> = (0..spec.classes)
                         .map(|cl| if cl >= lo && cl < hi { 1.0 } else { 0.0 })
                         .collect();
-                    let mut rng = Prng::derive(seed, &[rng_tags::PARTITION_ORTHOGONAL, c as u64]);
+                    let mut rng = Prng::derive(seed, rng_tags::PARTITION_ORTHOGONAL, &[c as u64]);
                     pools.draw(&probs, spec.client_samples, &mut rng)
                 }
             })

@@ -248,7 +248,7 @@ impl SyntheticVision {
 
         let mut shared = Vec::with_capacity(spec.channels * gh * gw);
         for ch in 0..spec.channels {
-            let mut rng = Prng::derive(seed, &[rng_tags::SYNTH_BASE, ch as u64]);
+            let mut rng = Prng::derive(seed, rng_tags::SYNTH_BASE, &[ch as u64]);
             let blobs: Vec<Blob> = (0..spec.blob_count + 1)
                 .map(|_| Blob {
                     cx: rng.uniform() * spec.width as f32,
@@ -273,7 +273,7 @@ impl SyntheticVision {
         let mut amps = Vec::with_capacity(planes);
         for c in 0..spec.classes {
             for ch in 0..spec.channels {
-                let mut rng = Prng::derive(seed, &[rng_tags::SYNTH_PROTO, c as u64, ch as u64]);
+                let mut rng = Prng::derive(seed, rng_tags::SYNTH_PROTO, &[c as u64, ch as u64]);
                 for _ in 0..spec.blob_count {
                     let b = Blob {
                         cx: rng.uniform() * spec.width as f32,
@@ -317,11 +317,11 @@ impl SyntheticVision {
     pub fn label_of(&self, r: SampleRef) -> usize {
         let mut rng = Prng::derive(
             self.seed,
+            rng_tags::SYNTH_SAMPLE,
             &[
-                rng_tags::SYNTH_SAMPLE,
                 r.class as u64,
                 r.id as u64,
-                rng_tags::SYNTH_LABEL_FLIP,
+                rng_tags::SYNTH_LABEL_FLIP.value(),
             ],
         );
         if (rng.uniform() as f64) < self.spec.label_flip {
@@ -343,7 +343,8 @@ impl SyntheticVision {
         let jitter = self.spec.jitter;
         let mut rng = Prng::derive(
             self.seed,
-            &[rng_tags::SYNTH_SAMPLE, r.class as u64, r.id as u64],
+            rng_tags::SYNTH_SAMPLE,
+            &[r.class as u64, r.id as u64],
         );
         let dx = rng.below(2 * jitter as usize + 1) as i32 - jitter;
         let dy = rng.below(2 * jitter as usize + 1) as i32 - jitter;

@@ -29,14 +29,14 @@ impl Blob {
 pub fn reference_sample(kind: DatasetKind, seed: u64, r: SampleRef, out: &mut [f32]) {
     let spec = kind.spec();
     assert_eq!(out.len(), spec.sample_elems());
-    let mut rng = Prng::derive(seed, &[rng_tags::SYNTH_SAMPLE, r.class as u64, r.id as u64]);
+    let mut rng = Prng::derive(seed, rng_tags::SYNTH_SAMPLE, &[r.class as u64, r.id as u64]);
     let dx = rng.below(2 * spec.jitter as usize + 1) as i32 - spec.jitter;
     let dy = rng.below(2 * spec.jitter as usize + 1) as i32 - spec.jitter;
     let scale = 0.8 + 0.4 * rng.uniform();
 
     let (h, w) = (spec.height, spec.width);
     for ch in 0..spec.channels {
-        let mut proto = Prng::derive(seed, &[rng_tags::SYNTH_PROTO, r.class as u64, ch as u64]);
+        let mut proto = Prng::derive(seed, rng_tags::SYNTH_PROTO, &[r.class as u64, ch as u64]);
         let blobs: Vec<Blob> = (0..spec.blob_count)
             .map(|_| Blob {
                 cx: proto.uniform() * spec.width as f32,
@@ -46,7 +46,7 @@ pub fn reference_sample(kind: DatasetKind, seed: u64, r: SampleRef, out: &mut [f
                     * (0.6 + 0.4 * proto.uniform()),
             })
             .collect();
-        let mut base = Prng::derive(seed, &[rng_tags::SYNTH_BASE, ch as u64]);
+        let mut base = Prng::derive(seed, rng_tags::SYNTH_BASE, &[ch as u64]);
         let base_blobs: Vec<Blob> = (0..spec.blob_count + 1)
             .map(|_| Blob {
                 cx: base.uniform() * spec.width as f32,

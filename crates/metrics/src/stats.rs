@@ -50,7 +50,11 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
     assert!(!xs.is_empty(), "quantile of empty slice");
     assert!((0.0..=1.0).contains(&q), "quantile q must be in [0,1]");
     let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input")); // lint:allow(panic) — finite inputs are the documented contract
+    #[expect(
+        clippy::expect_used,
+        reason = "finite inputs are the documented contract"
+    )]
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
     let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;

@@ -24,6 +24,14 @@
 //! typo in EXPERIMENTS.md.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason,
+    clippy::iter_over_hash_type
+)]
 
 use fedtrip_data::synth::DatasetKind;
 use fedtrip_tensor::conv::ConvGeom;
@@ -70,7 +78,7 @@ impl ModelKind {
     /// Panics when the input shape is incompatible (e.g. AlexNet on
     /// grayscale 28x28 input).
     pub fn build(&self, input_shape: &[usize; 3], classes: usize, seed: u64) -> Sequential {
-        let mut rng = Prng::derive(seed, &[rng_tags::MODEL_INIT]);
+        let mut rng = Prng::derive(seed, rng_tags::MODEL_INIT, &[]);
         match self {
             ModelKind::Mlp => mlp(input_shape, classes, &mut rng),
             ModelKind::Cnn => cnn(input_shape, classes, &mut rng),

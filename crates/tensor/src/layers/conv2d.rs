@@ -121,10 +121,14 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, grad_out: Tensor, scratch: &mut Scratch) -> Tensor {
         let g = self.geom;
+        #[expect(
+            clippy::expect_used,
+            reason = "backward-after-forward is the layer contract"
+        )]
         let (mut col, batch) = self
             .cached_col
             .take()
-            .expect("Conv2d::backward called before forward"); // lint:allow(panic) — backward-after-forward is the layer contract
+            .expect("Conv2d::backward called before forward");
         let n_cols = g.col_cols();
         let wide = batch * n_cols;
         let in_elems = self.in_elems();

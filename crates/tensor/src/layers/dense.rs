@@ -84,10 +84,14 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: Tensor, scratch: &mut Scratch) -> Tensor {
+        #[expect(
+            clippy::expect_used,
+            reason = "backward-after-forward is the layer contract"
+        )]
         let x = self
             .cached_input
             .take()
-            .expect("Dense::backward called before forward"); // lint:allow(panic) — backward-after-forward is the layer contract
+            .expect("Dense::backward called before forward");
         let batch = grad_out.len() / self.out_dim;
         debug_assert_eq!(batch * self.in_dim, x.len());
 

@@ -32,7 +32,7 @@ impl Dropout {
         Dropout {
             p,
             training: true,
-            rng: Prng::derive(seed, &[rng_tags::DROPOUT]),
+            rng: Prng::derive(seed, rng_tags::DROPOUT, &[]),
             mask: Vec::new(),
         }
     }

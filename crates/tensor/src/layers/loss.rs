@@ -23,7 +23,8 @@ impl SoftmaxCrossEntropy {
     /// Panics if `targets.len()` does not match the batch size or a target
     /// index is out of range.
     pub fn forward_backward(&self, logits: &Tensor, targets: &[usize]) -> (f64, Tensor) {
-        let classes = *logits.shape().last().expect("logits must be 2-d"); // lint:allow(panic) — 2-d logits are the documented contract
+        #[expect(clippy::expect_used, reason = "2-d logits are the documented contract")]
+        let classes = *logits.shape().last().expect("logits must be 2-d");
         let batch = logits.len() / classes;
         let mut grad = Tensor::zeros(&[batch, classes]);
         let loss = self.fb_into(logits, targets, &mut grad);
@@ -39,7 +40,8 @@ impl SoftmaxCrossEntropy {
         targets: &[usize],
         scratch: &mut Scratch,
     ) -> (f64, Tensor) {
-        let classes = *logits.shape().last().expect("logits must be 2-d"); // lint:allow(panic) — 2-d logits are the documented contract
+        #[expect(clippy::expect_used, reason = "2-d logits are the documented contract")]
+        let classes = *logits.shape().last().expect("logits must be 2-d");
         let batch = logits.len() / classes;
         // every gradient element is written by fb_into
         let mut grad = scratch.take_tensor(&[batch, classes]);
@@ -49,7 +51,8 @@ impl SoftmaxCrossEntropy {
 
     /// Core loss/gradient pass; overwrites every element of `grad`.
     fn fb_into(&self, logits: &Tensor, targets: &[usize], grad: &mut Tensor) -> f64 {
-        let classes = *logits.shape().last().expect("logits must be 2-d"); // lint:allow(panic) — 2-d logits are the documented contract
+        #[expect(clippy::expect_used, reason = "2-d logits are the documented contract")]
+        let classes = *logits.shape().last().expect("logits must be 2-d");
         let batch = logits.len() / classes;
         assert_eq!(batch, targets.len(), "target count != batch size");
         debug_assert_eq!(grad.len(), batch * classes);
@@ -82,7 +85,8 @@ impl SoftmaxCrossEntropy {
 
     /// Softmax probabilities (used by evaluation / t-SNE tooling).
     pub fn probabilities(&self, logits: &Tensor) -> Tensor {
-        let classes = *logits.shape().last().expect("logits must be 2-d"); // lint:allow(panic) — 2-d logits are the documented contract
+        #[expect(clippy::expect_used, reason = "2-d logits are the documented contract")]
+        let classes = *logits.shape().last().expect("logits must be 2-d");
         let mut out = logits.clone();
         for row in out.as_mut_slice().chunks_exact_mut(classes) {
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);

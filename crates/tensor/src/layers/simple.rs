@@ -92,16 +92,21 @@ impl Layer for Flatten {
         self.cached_shape.extend_from_slice(input.shape());
         let batch = input.shape()[0];
         let rest = input.len() / batch;
+        #[expect(clippy::expect_used, reason = "element count is conserved")]
         input
             .reshape_in_place(&[batch, rest])
-            .expect("flatten reshape cannot fail"); // lint:allow(panic) — element count is conserved
+            .expect("flatten reshape cannot fail");
         input
     }
 
     fn backward(&mut self, mut grad_out: Tensor, _scratch: &mut Scratch) -> Tensor {
+        #[expect(
+            clippy::expect_used,
+            reason = "backward-after-forward is the layer contract"
+        )]
         grad_out
             .reshape_in_place(&self.cached_shape)
-            .expect("Flatten::backward called before forward"); // lint:allow(panic) — backward-after-forward is the layer contract
+            .expect("Flatten::backward called before forward");
         grad_out
     }
 

@@ -30,6 +30,16 @@
 //! backward and "attaching" operations, and we account for each of them
 //! analytically.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason,
+    clippy::iter_over_hash_type,
+    clippy::undocumented_unsafe_blocks
+)]
+
 pub mod compress;
 pub mod conv;
 pub mod layers;

@@ -87,7 +87,10 @@ fn ensure_len(v: &mut Vec<f32>, len: usize) {
 /// `src[k*ld + x]` when `k_major`, else at `src[x*ld + k]` — one packer
 /// covers plain, transposed-`A`, and transposed-`B` operands.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "GEMM kernels take each operand, stride and layout flag as a separate scalar argument"
+)]
 fn pack_block<const W: usize>(
     dst: &mut [f32],
     src: &[f32],
@@ -140,7 +143,10 @@ fn pack_block<const W: usize>(
 /// matrix with its own row stride (identical values read in the identical
 /// order, so both paths produce bit-identical results).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "GEMM kernels take each operand, stride and layout flag as a separate scalar argument"
+)]
 fn microkernel<const MR_: usize, const NR_: usize>(
     kb: usize,
     ap: &[f32],
@@ -200,7 +206,10 @@ fn microkernel<const MR_: usize, const NR_: usize>(
 /// of `A*B`, `A^T*B`, `A*B^T`, and their column-swapped (narrow-`n`)
 /// orientations.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "GEMM kernels take each operand, stride and layout flag as a separate scalar argument"
+)]
 fn gemm_driver<const MR_: usize, const NR_: usize>(
     m: usize,
     k: usize,
@@ -297,7 +306,10 @@ fn gemm_driver<const MR_: usize, const NR_: usize>(
 /// Caller must have verified AVX-512F support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "GEMM kernels take each operand, stride and layout flag as a separate scalar argument"
+)]
 unsafe fn gemm_driver_avx512(
     m: usize,
     k: usize,
@@ -329,7 +341,10 @@ unsafe fn gemm_driver_avx512(
 /// Caller must have verified AVX2 support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "GEMM kernels take each operand, stride and layout flag as a separate scalar argument"
+)]
 unsafe fn gemm_driver_avx2(
     m: usize,
     k: usize,
@@ -354,7 +369,10 @@ unsafe fn gemm_driver_avx2(
 
 /// Dispatch one logical GEMM through the per-thread pack buffers and the
 /// best available instruction set.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "GEMM kernels take each operand, stride and layout flag as a separate scalar argument"
+)]
 fn gemm_dispatch(
     m: usize,
     k: usize,

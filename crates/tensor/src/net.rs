@@ -147,9 +147,13 @@ impl Sequential {
     /// # Panics
     /// Panics if no feature layer was marked.
     pub fn forward_with_features(&mut self, x: &Tensor) -> (Tensor, Tensor) {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented precondition: a feature layer is marked"
+        )]
         let fi = self
             .feature_layer
-            .expect("forward_with_features: no feature layer marked"); // lint:allow(panic) — documented precondition: a feature layer is marked
+            .expect("forward_with_features: no feature layer marked");
         let Sequential {
             layers, scratch, ..
         } = self;
@@ -161,7 +165,8 @@ impl Sequential {
                 features = Some(a.clone());
             }
         }
-        (a, features.expect("feature layer index in range")) // lint:allow(panic) — mark_feature_layer checked the index
+        #[expect(clippy::expect_used, reason = "mark_feature_layer checked the index")]
+        (a, features.expect("feature layer index in range"))
     }
 
     /// Backward pass from a logits gradient; accumulates parameter grads and
@@ -187,17 +192,22 @@ impl Sequential {
         grad_logits: &Tensor,
         feature_grad: &Tensor,
     ) -> Tensor {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented precondition: a feature layer is marked"
+        )]
         let fi = self
             .feature_layer
-            .expect("backward_with_feature_grad: no feature layer marked"); // lint:allow(panic) — documented precondition: a feature layer is marked
+            .expect("backward_with_feature_grad: no feature layer marked");
         let Sequential {
             layers, scratch, ..
         } = self;
         let mut g = scratch.take_copy(grad_logits);
         for (i, l) in layers.iter_mut().enumerate().rev() {
             if i == fi {
+                #[expect(clippy::expect_used, reason = "shapes agree with the matching forward")]
                 g.add_assign(feature_grad)
-                    .expect("feature gradient shape mismatch"); // lint:allow(panic) — shapes agree with the matching forward
+                    .expect("feature gradient shape mismatch");
             }
             g = l.backward(g, scratch);
         }

@@ -4,6 +4,7 @@
 //! training: the engine derives one [`Prng`] per (seed, round, client) via
 //! [`Prng::derive`], so rayon scheduling order can never change results.
 
+use crate::rng_tags::RngTag;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -27,16 +28,18 @@ impl Prng {
         }
     }
 
-    /// Derive an independent child stream from `(self seed material, tags)`.
+    /// Derive an independent child stream from `(base_seed, tag, rest)`.
     ///
-    /// The derivation is a SplitMix64-style hash of the tags mixed with fresh
-    /// output from this generator's seed — but crucially it does **not**
-    /// advance `self`, so the set of derived streams is independent of
-    /// call order.
-    pub fn derive(base_seed: u64, tags: &[u64]) -> Self {
-        let mut state = base_seed ^ 0x9E37_79B9_7F4A_7C15;
-        for &t in tags {
-            state = splitmix64(state ^ t.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    /// `tag` names the stream (a constant from [`rng_tags`](crate::rng_tags));
+    /// `rest` indexes it (round, client, …). The derivation is a
+    /// SplitMix64-style hash of `tag` then `rest` mixed into the seed — a
+    /// pure function of its arguments, so the set of derived streams is
+    /// independent of call order.
+    pub fn derive(base_seed: u64, tag: RngTag, rest: &[u64]) -> Self {
+        let mix = |state: u64, t: u64| splitmix64(state ^ t.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+        let mut state = mix(base_seed ^ 0x9E37_79B9_7F4A_7C15, tag.value());
+        for &t in rest {
+            state = mix(state, t);
         }
         Prng::seed_from_u64(splitmix64(state))
     }
@@ -155,6 +158,7 @@ fn splitmix64(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng_tags;
 
     #[test]
     fn same_seed_same_stream() {
@@ -167,21 +171,18 @@ mod tests {
 
     #[test]
     fn derive_is_order_independent() {
-        let a = Prng::derive(5, &[1, 2]);
-        let b = Prng::derive(5, &[1, 2]);
-        let c = Prng::derive(5, &[2, 1]);
-        let mut a = a;
-        let mut b = b;
-        let mut c = c;
+        let mut a = Prng::derive(5, rng_tags::SELECT, &[1, 2]);
+        let mut b = Prng::derive(5, rng_tags::SELECT, &[1, 2]);
+        let mut c = Prng::derive(5, rng_tags::SELECT, &[2, 1]);
         assert_eq!(a.next_u64(), b.next_u64());
-        // different tag order -> different stream
+        // different index order -> different stream
         assert_ne!(b.next_u64(), c.next_u64());
     }
 
     #[test]
     fn derive_distinct_tags_distinct_streams() {
-        let mut a = Prng::derive(9, &[0, 7]);
-        let mut b = Prng::derive(9, &[1, 7]);
+        let mut a = Prng::derive(9, rng_tags::SELECT, &[7]);
+        let mut b = Prng::derive(9, rng_tags::DISPATCH, &[7]);
         assert_ne!(a.next_u64(), b.next_u64());
     }
 

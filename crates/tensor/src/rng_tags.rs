@@ -1,16 +1,13 @@
 //! Central registry of RNG stream tags.
 //!
-//! Every [`Prng::derive`](crate::rng::Prng::derive) call site across the
-//! workspace names its stream with a *first* tag element drawn from this
-//! registry — never an inline literal. Two derive sites that accidentally
-//! share a first tag draw **correlated** streams (selection re-using the
-//! dispatch stream, a partition re-using the shuffle stream, …), which is
-//! exactly the class of bug that silently breaks the golden fixtures
-//! without failing any unit test. Centralizing the tags makes collisions
-//! impossible to introduce quietly: the [`ALL`] table is asserted
-//! pairwise-distinct by a unit test, and `fedtrip-lint`'s `rng-tags` rule
-//! (R2) rejects any derive call whose first element is not a named
-//! constant as well as any registry collision.
+//! Every [`Prng::derive`](crate::rng::Prng::derive) call names its stream
+//! with an [`RngTag`], and only this module can construct one, so every
+//! stream's first tag element is a named constant below. Two derive sites
+//! that shared a first tag would draw **correlated** streams (selection
+//! re-using the dispatch stream, a partition re-using the shuffle stream,
+//! …), the class of bug that silently breaks the golden fixtures without
+//! failing any unit test. The [`ALL`] table is asserted pairwise-distinct
+//! by a unit test.
 //!
 //! The registry lives in `fedtrip-tensor` because [`Prng`](crate::rng::Prng)
 //! does and the downstream crates (`fedtrip-data`, `fedtrip-models`) sit
@@ -22,61 +19,87 @@
 //! golden fixtures pin the streams they select). Add new tags freely; never
 //! renumber an existing one.
 
+/// A registered RNG stream tag, the first element of a
+/// [`Prng::derive`](crate::rng::Prng::derive) derivation.
+///
+/// The field is private to this module, so a stream can only be named by
+/// one of the constants below:
+///
+/// ```
+/// use fedtrip_tensor::{rng::Prng, rng_tags};
+/// let _ = Prng::derive(7, rng_tags::DROPOUT, &[]);
+/// ```
+///
+/// and an inline literal does not compile:
+///
+/// ```compile_fail,E0423
+/// use fedtrip_tensor::{rng::Prng, rng_tags::RngTag};
+/// let _ = Prng::derive(7, RngTag(0xBEEF), &[]);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RngTag(u64);
+
+impl RngTag {
+    /// The tag's frozen numeric value.
+    pub const fn value(self) -> u64 {
+        self.0
+    }
+}
+
 /// Round-participant selection stream (`Sampler::select`), `(SELECT, t)`.
-pub const SELECT: u64 = 0x005E_1EC7; // "SELECT"
+pub const SELECT: RngTag = RngTag(0x005E_1EC7); // "SELECT"
 /// Straggler / failure injection stream (`Sampler::apply_failures`),
 /// `(FAILURE, t)`.
-pub const FAILURE: u64 = 0xFA_11; // "FAIL"
+pub const FAILURE: RngTag = RngTag(0xFA_11); // "FAIL"
 /// Semi-async re-dispatch selection (`Sampler::select_among` /
 /// `Sampler::select_idle`), `(DISPATCH, t)` — distinct from [`SELECT`] so
 /// redispatch never correlates with the synchronous selection stream.
-pub const DISPATCH: u64 = 0xD15_9A7C; // "DISPATCH"
+pub const DISPATCH: RngTag = RngTag(0xD15_9A7C); // "DISPATCH"
 /// Per-client device-profile derivation (`DeviceProfile::derive`),
 /// `(DEVICE, client)`.
-pub const DEVICE: u64 = 0x0DE_71CE; // "DEVICE"
+pub const DEVICE: RngTag = RngTag(0x0DE_71CE); // "DEVICE"
 /// Model parameter initialization (`ModelKind::build`), `(MODEL_INIT,)`.
-pub const MODEL_INIT: u64 = 0x4D4F_4445_4C00; // "MODEL\0"
+pub const MODEL_INIT: RngTag = RngTag(0x4D4F_4445_4C00); // "MODEL\0"
 /// Per-epoch mini-batch shuffling (`LocalContext::epoch_rng`),
 /// `(EPOCH_SHUFFLE, round, client, epoch)`.
-pub const EPOCH_SHUFFLE: u64 = 0xE0;
+pub const EPOCH_SHUFFLE: RngTag = RngTag(0xE0);
 /// IID partition draw (`Partition`), `(PARTITION_IID, client)`.
-pub const PARTITION_IID: u64 = 0x1D;
+pub const PARTITION_IID: RngTag = RngTag(0x1D);
 /// Dirichlet label-skew partition draw, `(PARTITION_DIRICHLET, client)`.
-pub const PARTITION_DIRICHLET: u64 = 0xD1;
+pub const PARTITION_DIRICHLET: RngTag = RngTag(0xD1);
 /// Orthogonal-cluster partition draw, `(PARTITION_ORTHOGONAL, client)`.
-pub const PARTITION_ORTHOGONAL: u64 = 0x0A;
+pub const PARTITION_ORTHOGONAL: RngTag = RngTag(0x0A);
 /// Synthetic-dataset class prototype blobs, `(SYNTH_PROTO, class, channel)`.
-pub const SYNTH_PROTO: u64 = 0x50_52_4F_54; // "PROT"
+pub const SYNTH_PROTO: RngTag = RngTag(0x50_52_4F_54); // "PROT"
 /// Synthetic-dataset per-channel base texture, `(SYNTH_BASE, channel)`.
-pub const SYNTH_BASE: u64 = 0x42_41_53_45; // "BASE"
+pub const SYNTH_BASE: RngTag = RngTag(0x42_41_53_45); // "BASE"
 /// Synthetic-dataset per-sample pixels, `(SYNTH_SAMPLE, class, id)`.
-pub const SYNTH_SAMPLE: u64 = 0x53_41_4D_50; // "SAMP"
+pub const SYNTH_SAMPLE: RngTag = RngTag(0x53_41_4D_50); // "SAMP"
 /// Label-flip sub-stream discriminator — the *fourth* tag element of
 /// `label_of`'s `(SYNTH_SAMPLE, class, id, SYNTH_LABEL_FLIP)` derivation,
 /// registered so its value can never collide into a first-position tag.
-pub const SYNTH_LABEL_FLIP: u64 = 0xF11B; // "FLIP"
+pub const SYNTH_LABEL_FLIP: RngTag = RngTag(0xF11B); // "FLIP"
 /// Dropout mask stream (`layers::Dropout`), `(DROPOUT,)`.
-pub const DROPOUT: u64 = 0xD0_D0;
+pub const DROPOUT: RngTag = RngTag(0xD0_D0);
 /// t-SNE embedding initialization (`fig2_tsne`), `(TSNE_INIT, client)`.
-pub const TSNE_INIT: u64 = 0xF1_62;
+pub const TSNE_INIT: RngTag = RngTag(0xF1_62);
 /// Per-client availability trace derivation (`AvailabilityModel`),
 /// `(AVAIL, client)` — diurnal phase offsets.
-pub const AVAIL: u64 = 0x41_56_41_49; // "AVAI"
+pub const AVAIL: RngTag = RngTag(0x41_56_41_49); // "AVAI"
 /// Per-client churn epoch derivation (`AvailabilityModel`),
 /// `(CHURN, client)` — join round and residency lifetime.
-pub const CHURN: u64 = 0x43_48_52_4E; // "CHRN"
+pub const CHURN: RngTag = RngTag(0x43_48_52_4E); // "CHRN"
 /// Utility-aware (Oort-style) selection stream
 /// (`Sampler::select_with`), `(OORT, t)` — exploration draws on top of
 /// the deterministic exploitation ranking.
-pub const OORT: u64 = 0x4F_4F_52_54; // "OORT"
+pub const OORT: RngTag = RngTag(0x4F_4F_52_54); // "OORT"
 /// All-failed survivor election (`Sampler::apply_failures`),
 /// `(SURVIVOR, t)` — decoupled from [`FAILURE`] so the survivor choice
 /// does not depend on how many coin flips the failure filter consumed.
-pub const SURVIVOR: u64 = 0x53_55_52_56; // "SURV"
+pub const SURVIVOR: RngTag = RngTag(0x53_55_52_56); // "SURV"
 
-/// Every registered tag, by name — the table the distinctness test and
-/// external auditors (e.g. `lint_gate`'s JSON report) walk.
-pub const ALL: &[(&str, u64)] = &[
+/// Every registered tag, by name — the table the distinctness test walks.
+pub const ALL: &[(&str, RngTag)] = &[
     ("SELECT", SELECT),
     ("FAILURE", FAILURE),
     ("DISPATCH", DISPATCH),
@@ -107,9 +130,11 @@ mod tests {
         for (i, &(name_a, a)) in ALL.iter().enumerate() {
             for &(name_b, b) in &ALL[i + 1..] {
                 assert_ne!(
-                    a, b,
-                    "RNG tags {name_a} and {name_b} collide on {a:#x}: \
-                     their derived streams would be correlated"
+                    a,
+                    b,
+                    "RNG tags {name_a} and {name_b} collide on {:#x}: \
+                     their derived streams would be correlated",
+                    a.value()
                 );
             }
         }

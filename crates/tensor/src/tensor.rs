@@ -23,7 +23,8 @@ impl Tensor {
     /// Panics if `shape` contains a zero dimension (an empty tensor is almost
     /// always a logic bug in this workspace).
     pub fn zeros(shape: &[usize]) -> Self {
-        let n = checked_len(shape).expect("Tensor::zeros: invalid shape"); // lint:allow(panic) — documented panic on invalid shape
+        #[expect(clippy::expect_used, reason = "documented panic on invalid shape")]
+        let n = checked_len(shape).expect("Tensor::zeros: invalid shape");
         Tensor {
             data: vec![0.0; n],
             shape: shape.to_vec(),
@@ -32,7 +33,8 @@ impl Tensor {
 
     /// Create a tensor filled with a constant.
     pub fn full(shape: &[usize], value: f32) -> Self {
-        let n = checked_len(shape).expect("Tensor::full: invalid shape"); // lint:allow(panic) — documented panic on invalid shape
+        #[expect(clippy::expect_used, reason = "documented panic on invalid shape")]
+        let n = checked_len(shape).expect("Tensor::full: invalid shape");
         Tensor {
             data: vec![value; n],
             shape: shape.to_vec(),
@@ -60,7 +62,8 @@ impl Tensor {
 
     /// Sample every element i.i.d. from `N(0, std^2)`.
     pub fn randn(shape: &[usize], std: f32, rng: &mut Prng) -> Self {
-        let n = checked_len(shape).expect("Tensor::randn: invalid shape"); // lint:allow(panic) — documented panic on invalid shape
+        #[expect(clippy::expect_used, reason = "documented panic on invalid shape")]
+        let n = checked_len(shape).expect("Tensor::randn: invalid shape");
         let mut data = Vec::with_capacity(n);
         for _ in 0..n {
             data.push(rng.normal() * std);
@@ -74,7 +77,8 @@ impl Tensor {
     /// Sample every element i.i.d. from `U(-limit, limit)` (He/Glorot style
     /// fan-in init is built on top of this in the layers).
     pub fn rand_uniform(shape: &[usize], limit: f32, rng: &mut Prng) -> Self {
-        let n = checked_len(shape).expect("Tensor::rand_uniform: invalid shape"); // lint:allow(panic) — documented panic on invalid shape
+        #[expect(clippy::expect_used, reason = "documented panic on invalid shape")]
+        let n = checked_len(shape).expect("Tensor::rand_uniform: invalid shape");
         let mut data = Vec::with_capacity(n);
         for _ in 0..n {
             data.push((rng.uniform() * 2.0 - 1.0) * limit);
@@ -169,7 +173,8 @@ impl Tensor {
     /// # Panics
     /// Panics if `shape` contains a zero dimension.
     pub fn reuse(&mut self, shape: &[usize]) {
-        let n = checked_len(shape).expect("Tensor::reuse: invalid shape"); // lint:allow(panic) — documented panic on invalid shape
+        #[expect(clippy::expect_used, reason = "documented panic on invalid shape")]
+        let n = checked_len(shape).expect("Tensor::reuse: invalid shape");
         self.data.resize(n, 0.0);
         self.shape.clear();
         self.shape.extend_from_slice(shape);

@@ -89,6 +89,10 @@ fn main() {
             flip_rate(&ds, 50)
         );
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall time is printed, never fed back into the run"
+        )]
         let t0 = std::time::Instant::now();
         let plateau = centralized_plateau(kind, cent_samples, cent_epochs);
         println!(
@@ -114,6 +118,10 @@ fn main() {
             cfg.rounds = 10; // AlexNet is expensive; a short probe suffices
         }
         let hyper = ExperimentSpec::paper_hyper(kind, cfg.model);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall time is printed, never fed back into the run"
+        )]
         let t0 = std::time::Instant::now();
         let mut sim = Simulation::new(cfg, AlgorithmKind::FedAvg.build(&hyper));
         sim.run();

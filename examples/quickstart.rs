@@ -25,6 +25,10 @@ fn main() {
     let mut curves = Vec::new();
     for alg in [AlgorithmKind::FedTrip, AlgorithmKind::FedAvg] {
         let spec = base.with_algorithm(alg);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall time is printed, never fed back into the run"
+        )]
         let t0 = std::time::Instant::now();
         let records = spec.run();
         let accs: Vec<f64> = records.iter().filter_map(|r| r.accuracy).collect();

@@ -15,6 +15,11 @@
 //! that issued them — real rayon folds nesting into one global pool; this
 //! shim must not multiply threads per nesting level and oversubscribe the
 //! machine.
+//!
+//! `ThreadPoolBuilder::new().num_threads(n).build()?.install(f)` runs `f`
+//! with `n` as the fan-out of every region it starts. The size is a
+//! thread-local of the calling thread, so concurrent installs (parallel
+//! tests) do not see each other.
 
 use std::cell::Cell;
 use std::thread;
@@ -23,15 +28,20 @@ pub mod prelude {
     pub use crate::{IntoParallelRefMutIterator, ParallelSliceMut};
 }
 
-/// Number of worker threads to fan out to.
+/// Number of worker threads to fan out to: the installed pool's size, else
+/// one per available core.
 fn max_threads() -> usize {
-    thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    match INSTALLED_THREADS.with(Cell::get) {
+        0 => thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        n => n,
+    }
 }
 
 /// Number of threads a top-level parallel region fans out to (the shim's
-/// analogue of rayon's global-pool size): one per available core.
+/// analogue of rayon's pool size): the size of the pool installed on this
+/// thread by [`ThreadPool::install`], else one per available core.
 pub fn current_num_threads() -> usize {
     max_threads()
 }
@@ -39,7 +49,69 @@ pub fn current_num_threads() -> usize {
 thread_local! {
     /// True on threads already executing inside a parallel region.
     static IN_PARALLEL_REGION: Cell<bool> = const { Cell::new(false) };
+    /// Size of the pool whose `install` is running on this thread; 0 when
+    /// none is.
+    static INSTALLED_THREADS: Cell<usize> = const { Cell::new(0) };
 }
+
+/// `rayon::ThreadPoolBuilder`: configures a [`ThreadPool`].
+#[derive(Debug, Default)]
+pub struct ThreadPoolBuilder {
+    num_threads: usize,
+}
+
+impl ThreadPoolBuilder {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The pool's thread count; 0 (the default) means one per available
+    /// core.
+    pub fn num_threads(mut self, num_threads: usize) -> Self {
+        self.num_threads = num_threads;
+        self
+    }
+
+    /// Never fails in the shim; the `Result` matches rayon's signature.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        Ok(ThreadPool {
+            threads: self.num_threads,
+        })
+    }
+}
+
+/// `rayon::ThreadPool`. The shim keeps no resident workers: a pool is the
+/// thread count that parallel regions started inside [`ThreadPool::install`]
+/// fan out to (0: one per available core).
+#[derive(Debug)]
+pub struct ThreadPool {
+    threads: usize,
+}
+
+impl ThreadPool {
+    /// Run `op` on the calling thread with this pool's size governing every
+    /// parallel region it starts and [`current_num_threads`]. Regions nested
+    /// inside a worker stay sequential, as everywhere in the shim.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        /// Restores the outer pool's size, also when `op` panics.
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                INSTALLED_THREADS.with(|n| n.set(self.0));
+            }
+        }
+        let _restore = Restore(INSTALLED_THREADS.with(|n| n.replace(self.threads)));
+        op()
+    }
+}
+
+/// `rayon::ThreadPoolBuildError`; the shim never returns one.
+#[derive(Debug)]
+pub struct ThreadPoolBuildError;
 
 /// Run `f` over `items`, in order, on up to `max_threads()` scoped threads.
 /// The result vector preserves item order. Called from inside another
@@ -315,6 +387,23 @@ mod tests {
             .collect();
         let expected: Vec<u64> = (0..32u64).map(|i| (i + 1) * 64).collect();
         assert_eq!(sums, expected);
+    }
+
+    #[test]
+    fn install_sets_the_thread_count_and_restores_it() {
+        let outer = super::current_num_threads();
+        let pool = super::ThreadPoolBuilder::new()
+            .num_threads(3)
+            .build()
+            .unwrap();
+        let (inside, out) = pool.install(|| {
+            let mut v: Vec<usize> = (0..10).collect();
+            let out: Vec<usize> = v.par_iter_mut().map(|x| *x * 2).collect();
+            (super::current_num_threads(), out)
+        });
+        assert_eq!(inside, 3);
+        assert_eq!(out, (0..10).map(|x| x * 2).collect::<Vec<_>>());
+        assert_eq!(super::current_num_threads(), outer);
     }
 
     #[test]

@@ -15,6 +15,14 @@
 //! `DESIGN.md` for the paper-to-module map.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason,
+    clippy::iter_over_hash_type
+)]
 
 pub use fedtrip_core as core;
 pub use fedtrip_data as data;
