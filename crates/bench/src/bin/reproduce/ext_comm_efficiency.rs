@@ -19,10 +19,10 @@
 //! uncompressed run's final accuracy at the same device spread — which
 //! keeps the comparison meaningful at reduced scales.
 
-use fedtrip_bench::cases::{fmt_speedup, fmt_time, run_config, series};
+use fedtrip_bench::cases::{fmt_speedup, fmt_time, series};
+use fedtrip_bench::cells::{run_or_load, CellResult};
 use fedtrip_bench::Cli;
 use fedtrip_core::compression::CompressionKind;
-use fedtrip_core::engine::Simulation;
 use fedtrip_core::experiment::ExperimentSpec;
 use fedtrip_metrics::report::Table;
 use fedtrip_metrics::time_to_target;
@@ -35,11 +35,12 @@ const RESYNC_INTERVAL: usize = 5;
 
 /// One codec pair at one device spread.
 fn run_pair(
+    cli: &Cli,
     spec: &ExperimentSpec,
     up: CompressionKind,
     down: CompressionKind,
     spread: f32,
-) -> Simulation {
+) -> CellResult {
     let mut cfg = spec.to_config();
     cfg.compression = up;
     cfg.error_feedback = up != CompressionKind::None;
@@ -50,7 +51,7 @@ fn run_pair(
         0
     };
     cfg.device_het = spread;
-    run_config(spec, cfg)
+    run_or_load(&cli.results, cfg, spec.algorithm, spec.hyper)
 }
 
 fn fmt_mb(b: Option<f64>) -> String {
@@ -94,22 +95,22 @@ pub fn run(cli: &Cli) -> Value {
         let mut baseline_time: Option<f64> = None;
         let mut target = 0.0f64;
         for (up, down) in pairs {
-            let sim = run_pair(&spec, up, down, device_het);
-            let last = sim.records().last().expect("run produced records");
+            let cell = run_pair(cli, &spec, up, down, device_het);
+            let last = cell.records.last().expect("run produced records");
             if up == CompressionKind::None {
-                target = 0.90 * sim.final_accuracy(5);
+                target = 0.90 * cell.final_accuracy(5);
             }
-            let (ts, accs) = series(sim.records(), |r| r.virtual_time);
+            let (ts, accs) = series(&cell.records, |r| r.virtual_time);
             let t = time_to_target(&ts, &accs, target);
-            let (bs, accs_b) = series(sim.records(), |r| r.cum_comm_bytes);
+            let (bs, accs_b) = series(&cell.records, |r| r.cum_comm_bytes);
             let bytes = time_to_target(&bs, &accs_b, target);
             // run-level downlink ratio: per-record `compression_ratio_down`
             // is dense/actual for that round, so dense = ratio x actual;
             // summing both sides folds resync rounds (ratio 1) and delta
             // rounds into the whole-run average
-            let down_actual: f64 = sim.records().iter().map(|r| r.comm_bytes_down).sum();
-            let down_dense: f64 = sim
-                .records()
+            let down_actual: f64 = cell.records.iter().map(|r| r.comm_bytes_down).sum();
+            let down_dense: f64 = cell
+                .records
                 .iter()
                 .map(|r| r.comm_bytes_down * r.compression_ratio_down)
                 .sum();
@@ -131,7 +132,7 @@ pub fn run(cli: &Cli) -> Value {
                 fmt_time(t),
                 fmt_mb(bytes),
                 fmt_speedup(baseline_time, t),
-                format!("{:.1}%", sim.final_accuracy(5) * 100.0),
+                format!("{:.1}%", cell.final_accuracy(5) * 100.0),
             ]);
             artifacts.push(json!({
                 "codec_up": up.name(),
@@ -142,7 +143,7 @@ pub fn run(cli: &Cli) -> Value {
                 "target": target,
                 "time_to_target": t,
                 "bytes_to_target": bytes,
-                "final_accuracy": sim.final_accuracy(5),
+                "final_accuracy": cell.final_accuracy(5),
                 "cum_comm_mb": last.cum_comm_bytes / 1e6,
             }));
         }

@@ -22,10 +22,11 @@
 //! from the measured always-on round time at the same spread (75% of the
 //! mean round), which keeps the dropout rate meaningful at every scale.
 
-use fedtrip_bench::cases::{fmt_time, run_config, series};
+use fedtrip_bench::cases::{fmt_time, series};
+use fedtrip_bench::cells::{run_or_load, CellResult};
 use fedtrip_bench::Cli;
 use fedtrip_core::compression::CompressionKind;
-use fedtrip_core::engine::{SelectionStrategy, Simulation, SimulationConfig};
+use fedtrip_core::engine::{participation_counts, SelectionStrategy, SimulationConfig};
 use fedtrip_core::experiment::ExperimentSpec;
 use fedtrip_metrics::report::Table;
 use fedtrip_metrics::{gini, time_to_target};
@@ -111,9 +112,9 @@ fn cell_config(
 
 /// Participation Gini over the whole federation: counts for every client,
 /// zeros included for clients that never ran.
-fn participation_gini(sim: &Simulation) -> f64 {
-    let counts = sim.participation_counts();
-    let dense: Vec<f64> = (0..sim.config().n_clients)
+fn participation_gini(cell: &CellResult) -> f64 {
+    let counts = participation_counts(&cell.records);
+    let dense: Vec<f64> = (0..cell.config.n_clients)
         .map(|c| counts.get(&c).copied().unwrap_or(0) as f64)
         .collect();
     gini(&dense)
@@ -128,19 +129,18 @@ pub fn run(cli: &Cli) -> Value {
 
     // calibration run: the always-on / uniform / uncompressed federation
     // sets both the adaptive accuracy target and the deadline cutoff
-    let base = run_config(
+    let run = |cfg| run_or_load(&cli.results, cfg, spec.algorithm, spec.hyper);
+    let base = run(cell_config(
         &spec,
-        cell_config(
-            &spec,
-            &regimes(1)[0],
-            SelectionStrategy::Uniform,
-            CompressionKind::None,
-            0.0,
-        ),
-    );
+        &regimes(1)[0],
+        SelectionStrategy::Uniform,
+        CompressionKind::None,
+        0.0,
+    ));
     let target = 0.90 * base.final_accuracy(5);
-    let rounds = base.config().rounds;
-    let mean_round_secs = base.virtual_time() / rounds.max(1) as f64;
+    let rounds = base.config.rounds;
+    let last_time = base.records.last().map_or(0.0, |r| r.virtual_time);
+    let mean_round_secs = last_time / rounds.max(1) as f64;
     println!(
         "adaptive target: {:.1}% accuracy | always-on mean round: {:.1} virtual s\n",
         target * 100.0,
@@ -169,22 +169,19 @@ pub fn run(cli: &Cli) -> Value {
         let deadline_secs = (regime.deadline_frac * mean_round_secs) as f32;
         for &selection in &selections {
             for &codec in &codecs {
-                let sim = run_config(
-                    &spec,
-                    cell_config(&spec, regime, selection, codec, deadline_secs),
-                );
-                let (ts, accs) = series(sim.records(), |r| r.virtual_time);
+                let cell = run(cell_config(&spec, regime, selection, codec, deadline_secs));
+                let (ts, accs) = series(&cell.records, |r| r.virtual_time);
                 let t = time_to_target(&ts, &accs, target);
-                let g = participation_gini(&sim);
-                let seen = sim.participation_counts().len();
+                let g = participation_gini(&cell);
+                let seen = participation_counts(&cell.records).len();
                 table.row(&[
                     regime.name.to_string(),
                     selection.name().to_string(),
                     codec.name(),
                     fmt_time(t),
-                    format!("{:.1}%", sim.final_accuracy(5) * 100.0),
+                    format!("{:.1}%", cell.final_accuracy(5) * 100.0),
                     format!("{g:.3}"),
-                    format!("{seen}/{}", sim.config().n_clients),
+                    format!("{seen}/{}", cell.config.n_clients),
                 ]);
                 artifacts.push(json!({
                     "regime": regime.name,
@@ -193,7 +190,7 @@ pub fn run(cli: &Cli) -> Value {
                     "deadline_secs": deadline_secs as f64,
                     "target": target,
                     "time_to_target": t,
-                    "final_accuracy": sim.final_accuracy(5),
+                    "final_accuracy": cell.final_accuracy(5),
                     "participation_gini": g,
                     "clients_seen": seen,
                 }));

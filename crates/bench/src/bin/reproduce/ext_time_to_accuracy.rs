@@ -14,7 +14,8 @@
 //! (90% of the sync run's final accuracy, which keeps the comparison
 //! meaningful at reduced scales).
 
-use fedtrip_bench::cases::{fmt_speedup, fmt_time, run_config, series};
+use fedtrip_bench::cases::{fmt_speedup, fmt_time, series};
+use fedtrip_bench::cells::run_or_load;
 use fedtrip_bench::Cli;
 use fedtrip_core::engine::RunMode;
 use fedtrip_core::experiment::ExperimentSpec;
@@ -48,7 +49,7 @@ pub fn run(cli: &Cli) -> Value {
             if mode == RunMode::SemiAsync {
                 cfg.rounds *= 2; // fair budget: one fold == B = K/2 client results
             }
-            run_config(&spec, cfg)
+            run_or_load(&cli.results, cfg, spec.algorithm, spec.hyper)
         };
         let sync = run(RunMode::Sync);
         let semi = run(RunMode::SemiAsync);
@@ -57,9 +58,9 @@ pub fn run(cli: &Cli) -> Value {
         let semi_final = semi.final_accuracy(5);
         let target = 0.90 * sync_final;
 
-        let (ts, accs) = series(sync.records(), |r| r.virtual_time);
+        let (ts, accs) = series(&sync.records, |r| r.virtual_time);
         let t_sync = time_to_target(&ts, &accs, target);
-        let (ts, accs) = series(semi.records(), |r| r.virtual_time);
+        let (ts, accs) = series(&semi.records, |r| r.virtual_time);
         let t_semi = time_to_target(&ts, &accs, target);
 
         table.row(&[

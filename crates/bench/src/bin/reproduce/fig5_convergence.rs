@@ -8,7 +8,6 @@
 use fedtrip_bench::cases::{paper_cell, METHODS};
 use fedtrip_bench::cells::run_or_load;
 use fedtrip_bench::Cli;
-use fedtrip_core::experiment::ExperimentSpec;
 use fedtrip_data::partition::HeterogeneityKind;
 use fedtrip_data::synth::DatasetKind;
 use fedtrip_metrics::stats::ema;
@@ -45,11 +44,7 @@ pub fn run(cli: &Cli) -> Value {
         );
         let base = paper_cell(cli, dataset, ModelKind::Cnn, het);
         for &alg in &METHODS {
-            let spec = ExperimentSpec {
-                algorithm: alg,
-                ..base
-            };
-            let cell = run_or_load(&cli.results, &spec);
+            let cell = run_or_load(&cli.results, base.to_config(), alg, base.hyper);
             let accs = cell.accuracies();
             let smooth = ema(&accs, 0.3);
             println!(

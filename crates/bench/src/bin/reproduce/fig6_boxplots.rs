@@ -31,7 +31,7 @@ pub fn run(cli: &Cli) -> Value {
         for het in heterogeneities {
             println!("--- {} on FMNIST under {} ---", model.name(), het.name());
             let mut t = Table::new(
-                format!("{} / {}", model.name(), het.name()),
+                format!("{} / {}, {} trial(s)", model.name(), het.name(), cli.trials),
                 &["Method", "final acc % (min [q1|med|q3] max over trials)"],
             );
             let base = paper_cell(cli, DatasetKind::FmnistLike, model, het);

@@ -9,7 +9,6 @@ use fedtrip_bench::cases::paper_cell;
 use fedtrip_bench::cells::run_or_load;
 use fedtrip_bench::Cli;
 use fedtrip_core::algorithms::{HyperParams, XiMode};
-use fedtrip_core::experiment::ExperimentSpec;
 use fedtrip_data::partition::HeterogeneityKind;
 use fedtrip_data::synth::DatasetKind;
 use fedtrip_metrics::report::Table;
@@ -54,14 +53,11 @@ pub fn run(cli: &Cli) -> Value {
         let base = paper_cell(cli, dataset, model, het);
         let mut results = Vec::new();
         for &mu in &MUS {
-            let spec = ExperimentSpec {
-                hyper: HyperParams {
-                    fedtrip_mu: mu,
-                    ..base.hyper
-                },
-                ..base
+            let hyper = HyperParams {
+                fedtrip_mu: mu,
+                ..base.hyper
             };
-            let cell = run_or_load(&cli.results, &spec);
+            let cell = run_or_load(&cli.results, base.to_config(), base.algorithm, hyper);
             // "final accuracy" in Fig. 7 = best test accuracy over training
             let best = cell
                 .accuracies()
@@ -114,15 +110,12 @@ pub fn run(cli: &Cli) -> Value {
         ("raw gap (prose; unstable)", XiMode::RawGap),
         ("fixed 1.0", XiMode::Fixed(1.0)),
     ] {
-        let spec = ExperimentSpec {
-            hyper: HyperParams {
-                fedtrip_mu: 0.4,
-                xi_mode: mode,
-                ..base.hyper
-            },
-            ..base
+        let hyper = HyperParams {
+            fedtrip_mu: 0.4,
+            xi_mode: mode,
+            ..base.hyper
         };
-        let cell = run_or_load(&cli.results, &spec);
+        let cell = run_or_load(&cli.results, base.to_config(), base.algorithm, hyper);
         let best = cell
             .accuracies()
             .into_iter()

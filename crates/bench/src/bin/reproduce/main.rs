@@ -8,9 +8,9 @@
 //! ```
 //!
 //! Each claim prints its banner and tables, then writes
-//! `<results>/<claim>.json`. The paper claims share the cell cache under
-//! `<results>/cells/`, so `all` runs every cell once; the `ext_*` sweeps
-//! vary engine fields a cell key does not cover and always run.
+//! `<results>/<claim>.json`. Every claim runs its simulations through the
+//! cell cache under `<results>/cells/`, so `all` runs every cell once and a
+//! rerun into the same `--results` runs none.
 
 use fedtrip_bench::{Cli, USAGE};
 use fedtrip_metrics::report::save_json;

@@ -46,7 +46,7 @@ pub fn run(cli: &Cli) -> Value {
                 },
                 ..base
             };
-            let cell = run_or_load(&cli.results, &spec);
+            let cell = run_or_load(&cli.results, spec.to_config(), spec.algorithm, spec.hyper);
             let at10 = cell.accuracy_at(10).unwrap_or(0.0) * 100.0;
             let at20 = cell.accuracy_at(20).unwrap_or(0.0) * 100.0;
             let p10 = paper.iter().find(|(k, _)| *k == (epochs, 10)).unwrap().1[i];

@@ -1,11 +1,11 @@
 //! The paper's Table IV / Table V experiment cases and reported values,
 //! plus the paper-cell spec and the six-method sweep the drivers share, and
-//! the run-and-score helpers of the uncached extension sweeps.
+//! the scoring helpers of the extension sweeps.
 
 use crate::cells::{run_or_load, CellResult};
 use crate::Cli;
 use fedtrip_core::algorithms::AlgorithmKind;
-use fedtrip_core::engine::{RoundRecord, Simulation, SimulationConfig};
+use fedtrip_core::engine::RoundRecord;
 use fedtrip_core::experiment::ExperimentSpec;
 use fedtrip_data::partition::HeterogeneityKind;
 use fedtrip_data::synth::DatasetKind;
@@ -141,20 +141,11 @@ pub fn paper_cell(
 pub fn run_methods(results: &Path, spec: &ExperimentSpec) -> (Vec<CellResult>, Vec<f64>, f64) {
     let cells: Vec<CellResult> = METHODS
         .iter()
-        .map(|&algorithm| run_or_load(results, &ExperimentSpec { algorithm, ..*spec }))
+        .map(|&algorithm| run_or_load(results, spec.to_config(), algorithm, spec.hyper))
         .collect();
     let finals: Vec<f64> = cells.iter().map(|c| c.final_accuracy(10)).collect();
     let adaptive = adaptive_target(&finals, 0.90);
     (cells, finals, adaptive)
-}
-
-/// Run `cfg` to completion with `spec`'s method and hyper-parameters. The
-/// extension sweeps set engine fields `ExperimentSpec` does not carry, so
-/// their runs bypass the cell cache.
-pub fn run_config(spec: &ExperimentSpec, cfg: SimulationConfig) -> Simulation {
-    let mut sim = Simulation::new(cfg, spec.algorithm.build(&spec.hyper));
-    sim.run();
-    sim
 }
 
 /// `(x, accuracy)` of the evaluated rounds, where `x` is read from each

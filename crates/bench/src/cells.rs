@@ -1,26 +1,31 @@
 //! Cached experiment-cell execution.
 //!
-//! A *cell* is one complete simulation run (spec + seed). Because several
-//! tables/figures share cells (Table IV and Table V report the same runs in
-//! different units; Fig. 5's Dir-0.5 panels are Table IV's CNN rows), every
-//! finished cell's round records are persisted under
-//! `results/cells/<key>.json` and transparently reused.
+//! A *cell* is one complete simulation run, named by the same
+//! `{config, algorithm, hyper}` header a checkpoint carries. Because several
+//! claims share cells (Table IV and Table V report the same runs in
+//! different units; Fig. 5's Dir-0.5 panels are Table IV's CNN rows; the
+//! `ext_*` sweeps' uncompressed runs recur across sweeps), every finished
+//! cell's round records are persisted under `results/cells/<key>.json` and
+//! transparently reused.
 
-use fedtrip_core::engine::RoundRecord;
+use fedtrip_core::algorithms::{AlgorithmKind, HyperParams};
+use fedtrip_core::engine::{RoundRecord, Simulation, SimulationConfig};
 use fedtrip_core::experiment::ExperimentSpec;
 use serde::{Deserialize, Serialize};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// A finished cell: the spec that produced it plus its per-round records.
+/// A finished cell: the run's header plus its per-round records.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CellResult {
-    /// The exact spec that was run.
-    pub spec: ExperimentSpec,
+    /// The engine configuration that was run.
+    pub config: SimulationConfig,
+    /// The method that was run.
+    pub algorithm: AlgorithmKind,
+    /// Its hyper-parameters.
+    pub hyper: HyperParams,
     /// Per-round measurements.
     pub records: Vec<RoundRecord>,
-    /// Wall-clock seconds the run took (0 when loaded from cache).
-    pub wall_seconds: f64,
 }
 
 impl CellResult {
@@ -57,14 +62,14 @@ impl CellResult {
     }
 }
 
-/// Stable, filesystem-safe cache key for a spec.
-fn cell_key(spec: &ExperimentSpec) -> String {
+/// Stable, filesystem-safe cache key for a run header.
+fn cell_key(config: &SimulationConfig, algorithm: AlgorithmKind, hyper: &HyperParams) -> String {
     // hash the canonical JSON encoding
     #[expect(
         clippy::expect_used,
-        reason = "plain data struct, shim serializer has no failure path"
+        reason = "plain data structs, shim serializer has no failure path"
     )]
-    let json = serde_json::to_string(spec).expect("spec serializes");
+    let json = serde_json::to_string(&(config, algorithm, hyper)).expect("header serializes");
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in json.bytes() {
         h ^= b as u64;
@@ -72,35 +77,37 @@ fn cell_key(spec: &ExperimentSpec) -> String {
     }
     format!(
         "{}_{}_{}_r{}_s{}_{:016x}",
-        spec.algorithm.name().to_lowercase(),
-        spec.dataset.name().to_lowercase().replace('-', ""),
-        spec.model.name().to_lowercase(),
-        spec.rounds,
-        spec.seed,
+        algorithm.name().to_lowercase(),
+        config.dataset.name().to_lowercase().replace('-', ""),
+        config.model.name().to_lowercase(),
+        config.rounds,
+        config.seed,
         h
     )
 }
 
-fn cache_path(results: &Path, spec: &ExperimentSpec) -> PathBuf {
-    results
+/// Run `config` with `algorithm` at `hyper`, or load the cell from the
+/// cache when that exact header has already been run. Prints one progress
+/// line either way.
+pub fn run_or_load(
+    results: &Path,
+    config: SimulationConfig,
+    algorithm: AlgorithmKind,
+    hyper: HyperParams,
+) -> CellResult {
+    let path = results
         .join("cells")
-        .join(format!("{}.json", cell_key(spec)))
-}
-
-/// Run a cell, or load it from the cache when an identical spec has already
-/// been run. Prints one progress line either way.
-pub fn run_or_load(results: &Path, spec: &ExperimentSpec) -> CellResult {
-    let path = cache_path(results, spec);
+        .join(format!("{}.json", cell_key(&config, algorithm, &hyper)));
+    let what = format!(
+        "{:<8} {:<8} {:<9}",
+        algorithm.name(),
+        config.dataset.name(),
+        config.model.name()
+    );
     if let Ok(body) = fs::read_to_string(&path) {
         if let Ok(cell) = serde_json::from_str::<CellResult>(&body) {
-            if cell.spec == *spec {
-                println!(
-                    "  [cached] {:<8} {:<8} {:<9} {}",
-                    spec.algorithm.name(),
-                    spec.dataset.name(),
-                    spec.model.name(),
-                    spec.heterogeneity.name(),
-                );
+            if (cell.config, cell.algorithm, cell.hyper) == (config, algorithm, hyper) {
+                println!("  [cached] {what} {}", config.heterogeneity.name());
                 return cell;
             }
         }
@@ -110,12 +117,15 @@ pub fn run_or_load(results: &Path, spec: &ExperimentSpec) -> CellResult {
         reason = "the cell's wall time is reported to the user, never fed back into the run"
     )]
     let t0 = std::time::Instant::now();
-    let records = spec.run();
+    let records = Simulation::new(config, algorithm.build(&hyper))
+        .run()
+        .to_vec();
     let wall = t0.elapsed().as_secs_f64();
     let cell = CellResult {
-        spec: *spec,
+        config,
+        algorithm,
+        hyper,
         records,
-        wall_seconds: wall,
     };
     if let Some(dir) = path.parent() {
         let _ = fs::create_dir_all(dir);
@@ -123,15 +133,10 @@ pub fn run_or_load(results: &Path, spec: &ExperimentSpec) -> CellResult {
     if let Ok(json) = serde_json::to_string(&cell) {
         let _ = fs::write(&path, json);
     }
-    let final_acc = cell.final_accuracy(5);
     println!(
-        "  [ran {:>6.1}s] {:<8} {:<8} {:<9} {:<14} final {:.1}%",
-        wall,
-        spec.algorithm.name(),
-        spec.dataset.name(),
-        spec.model.name(),
-        spec.heterogeneity.name(),
-        final_acc * 100.0
+        "  [ran {wall:>6.1}s] {what} {:<14} final {:.1}%",
+        config.heterogeneity.name(),
+        cell.final_accuracy(5) * 100.0
     );
     cell
 }
@@ -141,7 +146,7 @@ pub fn run_trials(results: &Path, spec: &ExperimentSpec, trials: usize) -> Vec<C
     (0..trials)
         .map(|t| {
             let s = spec.with_seed(spec.seed.wrapping_add(1000 * t as u64));
-            run_or_load(results, &s)
+            run_or_load(results, s.to_config(), s.algorithm, s.hyper)
         })
         .collect()
 }
@@ -162,10 +167,19 @@ pub fn mean_rounds_to(cells: &[CellResult], target: f64) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedtrip_core::compression::CompressionKind;
     use fedtrip_core::experiment::Scale;
 
     fn smoke_spec() -> ExperimentSpec {
         ExperimentSpec::quickstart().with_scale(Scale::Smoke)
+    }
+
+    fn run_spec(dir: &Path, spec: &ExperimentSpec) -> CellResult {
+        run_or_load(dir, spec.to_config(), spec.algorithm, spec.hyper)
+    }
+
+    fn spec_key(spec: &ExperimentSpec) -> String {
+        cell_key(&spec.to_config(), spec.algorithm, &spec.hyper)
     }
 
     #[test]
@@ -173,25 +187,38 @@ mod tests {
         let dir = std::env::temp_dir().join("fedtrip_cells_test");
         let _ = std::fs::remove_dir_all(&dir);
         let spec = smoke_spec();
-        let a = run_or_load(&dir, &spec);
-        assert!(a.wall_seconds > 0.0);
-        let b = run_or_load(&dir, &spec);
+        let a = run_spec(&dir, &spec);
+        let b = run_spec(&dir, &spec);
         // loaded from cache: identical records
-        assert_eq!(a.records.len(), b.records.len());
-        assert_eq!(a.accuracies(), b.accuracies());
+        assert!(!a.records.is_empty());
+        assert_eq!(a.records, b.records);
     }
 
     #[test]
     fn different_seeds_get_different_keys() {
-        let a = cell_key(&smoke_spec());
-        let b = cell_key(&smoke_spec().with_seed(999));
-        assert_ne!(a, b);
+        let spec = smoke_spec();
+        let (alg, hyper) = (spec.algorithm, spec.hyper);
+        let q8 = SimulationConfig {
+            compression: CompressionKind::Q8,
+            ..spec.to_config()
+        };
+        for (what, key, same) in [
+            ("another seed", spec_key(&spec.with_seed(999)), false),
+            ("another codec", cell_key(&q8, alg, &hyper), false),
+            (
+                "the spec's config",
+                cell_key(&spec.to_config(), alg, &hyper),
+                true,
+            ),
+        ] {
+            assert_eq!(key == spec_key(&spec), same, "{what}: {key}");
+        }
     }
 
     #[test]
     fn accuracy_at_round_is_monotone_in_round_index() {
         let dir = std::env::temp_dir().join("fedtrip_cells_test2");
-        let cell = run_or_load(&dir, &smoke_spec());
+        let cell = run_spec(&dir, &smoke_spec());
         let at2 = cell.accuracy_at(2);
         assert!(at2.is_some());
         assert!(cell.accuracy_at(0).is_none());
@@ -202,6 +229,6 @@ mod tests {
         let dir = std::env::temp_dir().join("fedtrip_cells_test3");
         let cells = run_trials(&dir, &smoke_spec(), 2);
         assert_eq!(cells.len(), 2);
-        assert_ne!(cells[0].spec.seed, cells[1].spec.seed);
+        assert_ne!(cells[0].config.seed, cells[1].config.seed);
     }
 }

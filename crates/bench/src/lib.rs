@@ -12,11 +12,12 @@
 //! * [`Cli`] — a tiny flag parser (`--scale smoke|default|paper`,
 //!   `--trials N`, `--seed S`, `--results DIR`),
 //! * [`cases`] — the paper's cases, the default paper cell, the
-//!   six-method sweep and the extension sweeps' run-and-score helpers,
-//! * [`cells`] — a cached cell runner: a *cell* is one
-//!   (dataset, model, heterogeneity, participation, method) simulation, and
-//!   its round records are cached as JSON under `results/` so that claims
-//!   sharing cells (Table IV and Table V, Fig. 5, ...) never re-run them.
+//!   six-method sweep and the extension sweeps' scoring helpers,
+//! * [`cells`] — the one cached run path of every claim: a *cell* is one
+//!   simulation, keyed on its `{config, algorithm, hyper}` header, and its
+//!   round records are cached as JSON under `results/` so that claims
+//!   sharing cells (Table IV and Table V, Fig. 5, the extension sweeps'
+//!   uncompressed runs, ...) never re-run them.
 //!
 //! Run everything at default scale with:
 //!
@@ -45,8 +46,8 @@ use std::path::PathBuf;
 pub struct Cli {
     /// Execution scale.
     pub scale: Scale,
-    /// Repeated trials per cell (paper: 10; default here: 1 for tractable
-    /// single-core runtimes — pass `--trials 10` to match the paper).
+    /// Repeated trials per cell, read by `fig6_boxplots` (paper: 10;
+    /// default here: 1 for tractable single-core runtimes).
     pub trials: usize,
     /// Base seed.
     pub seed: u64,
@@ -99,12 +100,9 @@ impl Cli {
         Ok(cli)
     }
 
-    /// Human-readable run banner.
+    /// Human-readable run banner: the claim, the scale and the seed.
     pub fn banner(&self, what: &str) {
-        println!(
-            "{what}  [scale {:?}, {} trial(s), seed {}]\n",
-            self.scale, self.trials, self.seed
-        );
+        println!("{what}  [scale {:?}, seed {}]\n", self.scale, self.seed);
     }
 }
 

@@ -296,7 +296,7 @@ impl SimulationConfig {
 }
 
 /// Measurements of one communication round (sync) / server fold (semi-async).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoundRecord {
     /// Round number (1-based).
     pub round: usize,
@@ -656,15 +656,9 @@ impl Simulation {
         &self.state.utility
     }
 
-    /// Per-client fold counts so far (clients that never folded are
-    /// absent), counted from the records' `selected` lists. Feeds the
-    /// participation-Gini diagnostic of the `reproduce ext_scenario` claim.
+    /// Per-client fold counts so far (see [`participation_counts`]).
     pub fn participation_counts(&self) -> BTreeMap<usize, u64> {
-        let mut counts = BTreeMap::new();
-        for &c in self.state.records.iter().flat_map(|r| &r.selected) {
-            *counts.entry(c).or_insert(0) += 1;
-        }
-        counts
+        participation_counts(&self.state.records)
     }
 
     /// Execute one server step (sync: one communication round; semi-async:
@@ -1000,6 +994,16 @@ pub fn time_to_accuracy(records: &[RoundRecord], target: f64) -> Option<f64> {
         .iter()
         .find(|r| r.accuracy.map(|a| a >= target).unwrap_or(false))
         .map(|r| r.virtual_time)
+}
+
+/// Per-client fold counts over `records` (clients that never folded are
+/// absent), counted from each record's `selected` list.
+pub fn participation_counts(records: &[RoundRecord]) -> BTreeMap<usize, u64> {
+    let mut counts = BTreeMap::new();
+    for &c in records.iter().flat_map(|r| &r.selected) {
+        *counts.entry(c).or_insert(0) += 1;
+    }
+    counts
 }
 
 /// Mean accuracy over the last `n` evaluated rounds.

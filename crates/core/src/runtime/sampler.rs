@@ -46,7 +46,7 @@ pub enum SelectionStrategy {
     /// training loss) × device speed, with a uniform exploration floor so
     /// unexplored clients keep entering the pool. Scores come from the
     /// engine-maintained [`UtilityTable`]; on the semi-async redispatch
-    /// path ([`Sampler::select_idle`] / [`Sampler::select_among`]), where
+    /// path ([`Sampler::select_idle`]), where
     /// no utility snapshot is in scope, it degrades to uniform selection.
     Oort,
 }
@@ -418,60 +418,19 @@ impl Sampler {
         self.apply_failures(t, &self.select_with(t, utility))
     }
 
-    /// Select up to `k` clients from a restricted candidate `pool` (the
-    /// semi-async re-dispatch path: only idle clients are eligible). Uses a
-    /// dedicated RNG stream tagged `(DISPATCH, t)` so it never collides with
-    /// the synchronous selection stream.
-    pub fn select_among(&self, t: usize, pool: &[usize], k: usize) -> Vec<usize> {
-        let k = k.min(pool.len());
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut rng = Prng::derive(self.seed, rng_tags::DISPATCH, &[t as u64]);
-        let mut picked: Vec<usize> = match self.strategy {
-            // Oort degrades to uniform on the redispatch path (no utility
-            // snapshot in scope — see the variant docs)
-            SelectionStrategy::Uniform | SelectionStrategy::Oort => rng
-                .sample_indices(pool.len(), k)
-                .into_iter()
-                .map(|i| pool[i])
-                .collect(),
-            SelectionStrategy::RoundRobin => {
-                // rotate through the pool; dedup below collapses wrap-around
-                (0..k)
-                    .map(|i| pool[((t - 1) * k + i) % pool.len()])
-                    .collect()
-            }
-            SelectionStrategy::WeightedBySamples => weighted_draw(
-                &mut rng,
-                pool.iter()
-                    .map(|&c| self.client_sizes.get(c) as f64)
-                    .collect(),
-                k,
-            )
-            .into_iter()
-            .map(|i| pool[i])
-            .collect(),
-        };
-        picked.sort_unstable();
-        picked.dedup();
-        picked
-    }
-
     /// Select up to `k` clients that are **not** in `busy` (sorted,
     /// distinct) — the semi-async redispatch path at population scale.
     ///
-    /// Unlike [`Sampler::select_among`], the idle pool is never
-    /// materialized: with at most `K` clients ever in flight, uniform
-    /// selection rejection-samples over the whole federation (expected
-    /// O(k) when `N ≫ K`) and round-robin walks from the round's cursor
-    /// skipping busy clients, so the cost per server step is independent of
-    /// federation size. `WeightedBySamples` under uniform sizes is exactly
+    /// The idle pool is never materialized: with at most `K` clients ever
+    /// in flight, uniform selection rejection-samples over the whole
+    /// federation (expected O(k) when `N ≫ K`) and round-robin walks from
+    /// the round's cursor skipping busy clients, so the cost per server
+    /// step is independent of federation size. `WeightedBySamples` under uniform sizes is exactly
     /// uniform selection; under explicit per-client sizes it falls back to
     /// materializing the idle pool (O(N), documented).
     ///
-    /// Uses the same `(DISPATCH, t)` RNG tag as [`Sampler::select_among`],
-    /// so it never collides with the synchronous selection stream.
+    /// Uses a dedicated RNG stream tagged `(DISPATCH, t)`, so it never
+    /// collides with the synchronous selection stream.
     ///
     /// # Panics
     /// Panics when `busy` is not sorted/deduped or names out-of-range
@@ -605,30 +564,6 @@ mod tests {
             assert_eq!(surv.len(), 1);
             assert!(sel.contains(&surv[0]));
         }
-    }
-
-    #[test]
-    fn select_among_stays_in_pool() {
-        for strategy in [
-            SelectionStrategy::Uniform,
-            SelectionStrategy::RoundRobin,
-            SelectionStrategy::WeightedBySamples,
-        ] {
-            let s = sampler(strategy, 0.0);
-            let pool = [1usize, 3, 5];
-            for t in 1..=8 {
-                let picked = s.select_among(t, &pool, 2);
-                assert!(!picked.is_empty(), "{strategy:?}");
-                assert!(picked.len() <= 2);
-                assert!(picked.iter().all(|c| pool.contains(c)), "{picked:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn select_among_empty_pool_is_empty() {
-        let s = sampler(SelectionStrategy::Uniform, 0.0);
-        assert!(s.select_among(1, &[], 3).is_empty());
     }
 
     #[test]

@@ -51,8 +51,8 @@ pub const SELECT: RngTag = RngTag(0x005E_1EC7); // "SELECT"
 /// Straggler / failure injection stream (`Sampler::apply_failures`),
 /// `(FAILURE, t)`.
 pub const FAILURE: RngTag = RngTag(0xFA_11); // "FAIL"
-/// Semi-async re-dispatch selection (`Sampler::select_among` /
-/// `Sampler::select_idle`), `(DISPATCH, t)` — distinct from [`SELECT`] so
+/// Semi-async re-dispatch selection (`Sampler::select_idle`),
+/// `(DISPATCH, t)` — distinct from [`SELECT`] so
 /// redispatch never correlates with the synchronous selection stream.
 pub const DISPATCH: RngTag = RngTag(0xD15_9A7C); // "DISPATCH"
 /// Per-client device-profile derivation (`DeviceProfile::derive`),

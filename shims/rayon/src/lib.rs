@@ -22,6 +22,7 @@
 //! tests) do not see each other.
 
 use std::cell::Cell;
+use std::sync::OnceLock;
 use std::thread;
 
 pub mod prelude {
@@ -29,12 +30,12 @@ pub mod prelude {
 }
 
 /// Number of worker threads to fan out to: the installed pool's size, else
-/// one per available core.
+/// one per available core. The core count is read once per process: on
+/// Linux each `available_parallelism` call re-reads the cgroup CPU limits.
 fn max_threads() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
     match INSTALLED_THREADS.with(Cell::get) {
-        0 => thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        0 => *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get())),
         n => n,
     }
 }
