@@ -95,19 +95,24 @@ pub fn run_or_load(
     algorithm: AlgorithmKind,
     hyper: HyperParams,
 ) -> CellResult {
-    let path = results
-        .join("cells")
-        .join(format!("{}.json", cell_key(&config, algorithm, &hyper)));
+    let key = cell_key(&config, algorithm, &hyper);
+    let path = results.join("cells").join(format!("{key}.json"));
+    // the key's hash suffix tells apart cells that differ beyond these columns
     let what = format!(
-        "{:<8} {:<8} {:<9}",
+        "{:<8} {:<8} {:<9} {:<14} {:<9} {}/{} {}",
         algorithm.name(),
         config.dataset.name(),
-        config.model.name()
+        config.model.name(),
+        config.heterogeneity.name(),
+        config.mode.name(),
+        config.compression.name(),
+        config.downlink_compression.name(),
+        &key[key.len() - 16..]
     );
     if let Ok(body) = fs::read_to_string(&path) {
         if let Ok(cell) = serde_json::from_str::<CellResult>(&body) {
             if (cell.config, cell.algorithm, cell.hyper) == (config, algorithm, hyper) {
-                println!("  [cached] {what} {}", config.heterogeneity.name());
+                println!("  [cached] {what}");
                 return cell;
             }
         }
@@ -134,8 +139,7 @@ pub fn run_or_load(
         let _ = fs::write(&path, json);
     }
     println!(
-        "  [ran {wall:>6.1}s] {what} {:<14} final {:.1}%",
-        config.heterogeneity.name(),
+        "  [ran {wall:>6.1}s] {what} final {:.1}%",
         cell.final_accuracy(5) * 100.0
     );
     cell

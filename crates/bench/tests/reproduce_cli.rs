@@ -74,7 +74,7 @@ fn ext_time_to_accuracy_artifact_is_byte_stable() {
         let bytes = std::fs::read(dir.join("ext_time_to_accuracy.json")).expect("artifact");
         (bytes, stdout)
     };
-    let (cold, _) = run_into(&dirs[0]);
+    let (cold, cold_stdout) = run_into(&dirs[0]);
     let (other, _) = run_into(&dirs[1]);
     // a warm rerun into the first run's results serves every cell from the cache
     let (warm, warm_stdout) = run_into(&dirs[0]);
@@ -82,6 +82,17 @@ fn ext_time_to_accuracy_artifact_is_byte_stable() {
         let _ = std::fs::remove_dir_all(dir);
     }
     assert!(!cold.is_empty());
+    // every cell's progress line names it: no two agree once the wall time
+    // (`[ran    0.1s]`) is dropped
+    let ran: Vec<&str> = cold_stdout
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix("[ran"))
+        .map(|l| l.split_once(']').map_or(l, |(_, rest)| rest))
+        .collect();
+    assert!(ran.len() > 1, "{cold_stdout}");
+    for (i, a) in ran.iter().enumerate() {
+        assert!(!ran[i + 1..].contains(a), "two cells print {a:?}");
+    }
     assert!(cold == other, "two runs wrote different artifacts");
     assert!(
         warm_stdout.contains("[cached]") && !warm_stdout.contains("[ran"),

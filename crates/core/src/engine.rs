@@ -550,7 +550,6 @@ impl Env {
                 &x[lo * elems..hi * elems],
                 sample_shape,
                 &y[lo..hi],
-                200,
             );
         });
         correct.iter().sum::<usize>() as f64 / n as f64
@@ -931,15 +930,30 @@ impl Simulation {
     }
 }
 
-/// Chunked accuracy evaluation (bounds activation memory on big test sets).
-pub fn evaluate_in_chunks(net: &mut Sequential, x: &Tensor, y: &[usize], chunk: usize) -> f64 {
+/// Bytes one evaluation chunk's largest per-sample working set may fill:
+/// half of a 2 MiB per-core L2, so a convolution's im2col matrix and its
+/// output stay cache-resident between im2col and the GEMM.
+const EVAL_L2_BYTES: usize = 1 << 20;
+
+/// Rows per evaluation chunk for `net`: as many samples as fit
+/// [`Sequential::forward_footprint`] into [`EVAL_L2_BYTES`], at least one.
+/// Depends on the model only (paper CNN 10, CifarCNN 2, MNIST TinyCNN 25,
+/// MNIST MLP 334 rows).
+fn eval_chunk_rows(net: &Sequential) -> usize {
+    (EVAL_L2_BYTES / (std::mem::size_of::<f32>() * net.forward_footprint())).max(1)
+}
+
+/// Accuracy of `net` on `x`/`y`, forwarded in chunks sized so each layer's
+/// per-chunk working set fits in half a per-core L2 (1 MiB).
+pub fn evaluate_in_chunks(net: &mut Sequential, x: &Tensor, y: &[usize]) -> f64 {
     let n = y.len();
     assert!(n > 0, "empty test set");
-    correct_in_chunks(net, x.as_slice(), &x.shape()[1..], y, chunk) as f64 / n as f64
+    correct_in_chunks(net, x.as_slice(), &x.shape()[1..], y) as f64 / n as f64
 }
 
 /// Rows of `x` (row-major, `y.len()` samples of `sample_shape`) that `net`
-/// classifies as `y` says, forwarded `chunk` rows at a time.
+/// classifies as `y` says, forwarded in L2-sized chunks of
+/// [`eval_chunk_rows`] rows (at most `y.len()`).
 ///
 /// One scratch tensor is reused across all full-size chunks (plus at most
 /// one tail-sized tensor), so evaluation allocates O(chunk) instead of one
@@ -949,11 +963,11 @@ fn correct_in_chunks(
     x: &[f32],
     sample_shape: &[usize],
     y: &[usize],
-    chunk: usize,
 ) -> usize {
     let n = y.len();
     let elems = x.len() / n;
-    let mut shape = vec![chunk.min(n)];
+    let chunk = eval_chunk_rows(net).min(n);
+    let mut shape = vec![chunk];
     shape.extend_from_slice(sample_shape);
     let mut scratch = Tensor::zeros(&shape);
     let mut correct = 0usize;
@@ -1217,16 +1231,20 @@ mod tests {
 
     #[test]
     fn evaluate_is_independent_of_the_row_split() {
-        // n = 10, 50, 210: none a multiple of every span count below, the
-        // last past one 200-row chunk (skipped on the paper CNN, whose
-        // unoptimized forward pass is the slow part of this test)
-        for (model, sizes) in [
-            (ModelKind::TinyMlp, &[1, 5, 21][..]),
-            (ModelKind::TinyCnn, &[1, 5, 21]),
-            (ModelKind::Cnn, &[1, 5]),
+        // n = 10, 50, 210: none a multiple of every span count below. The
+        // chunk rule gives TinyMLP whole spans, TinyCNN 25, the paper CNN 10
+        // and CifarCNN 2 rows, so most spans split into several chunks plus
+        // a tail (n = 210 is skipped on the paper CNN, whose unoptimized
+        // forward pass is the slow part of this test)
+        for (dataset, model, sizes) in [
+            (DatasetKind::MnistLike, ModelKind::TinyMlp, &[1, 5, 21][..]),
+            (DatasetKind::MnistLike, ModelKind::TinyCnn, &[1, 5, 21]),
+            (DatasetKind::MnistLike, ModelKind::Cnn, &[1, 5]),
+            (DatasetKind::Cifar10Like, ModelKind::CifarCnn, &[1]),
         ] {
             for &test_per_class in sizes {
                 let mut cfg = tiny_cfg(31);
+                cfg.dataset = dataset;
                 cfg.model = model;
                 cfg.test_per_class = test_per_class;
                 cfg.eval_every = usize::MAX;
@@ -1235,8 +1253,7 @@ mod tests {
                     Simulation::new(cfg, AlgorithmKind::FedAvg.build(&HyperParams::default()));
                 s.run_round();
                 let env = &s.env;
-                let whole =
-                    evaluate_in_chunks(&mut s.global_model(), &env.test_x, &env.test_y, 200);
+                let whole = evaluate_in_chunks(&mut s.global_model(), &env.test_x, &env.test_y);
                 let tag = format!("{} n={}", model.name(), env.test_y.len());
                 assert_eq!(s.evaluate(), whole, "{tag}");
                 // the last: more workers than rows
@@ -1245,6 +1262,25 @@ mod tests {
                     assert_eq!(spanned, whole, "{tag} spans={spans}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn eval_chunk_rows_follow_the_largest_forward_working_set() {
+        // pinned so a later edit cannot slide back to whole-span chunks:
+        // the paper CNN's conv1 im2col matrix (25 x 784) plus its output
+        // (6 x 784) is 95 KiB a sample, so 10 rows fill the 1 MiB budget
+        for (model, shape, rows) in [
+            (ModelKind::Cnn, [1, 28, 28], 10),
+            (ModelKind::CifarCnn, [3, 32, 32], 2),
+            (ModelKind::AlexNet, [3, 32, 32], 1),
+            (ModelKind::TinyCnn, [1, 28, 28], 25),
+            (ModelKind::TinyCnn, [3, 32, 32], 8),
+            (ModelKind::Mlp, [1, 28, 28], 334),
+            (ModelKind::TinyMlp, [3, 32, 32], 85),
+        ] {
+            let net = model.build(&shape, 10, 0);
+            assert_eq!(eval_chunk_rows(&net), rows, "{} {shape:?}", model.name());
         }
     }
 

@@ -238,6 +238,11 @@ impl Layer for Conv2d {
         vec![self.geom.out_c, self.geom.out_h(), self.geom.out_w()]
     }
 
+    /// The im2col matrix plus the output planes.
+    fn forward_footprint(&self, _input_shape: &[usize]) -> usize {
+        self.geom.col_rows() * self.geom.col_cols() + self.out_elems()
+    }
+
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -297,6 +302,17 @@ mod tests {
         let y = conv.forward(x, &mut Scratch::new());
         assert_eq!(y.shape(), &[1, 4, 4, 4]);
         assert_eq!(conv.output_shape(&[1, 8, 8]), vec![4, 4, 4]);
+    }
+
+    #[test]
+    fn forward_footprint_is_the_column_matrix_plus_the_output() {
+        let g = small_geom();
+        let conv = Conv2d::new(g, &mut Prng::seed_from_u64(12));
+        // col_rows 2*3*3 = 18 by col_cols 6*6 = 36, plus a 3x6x6 output
+        assert_eq!(
+            conv.forward_footprint(&[2, 6, 6]),
+            g.col_rows() * g.col_cols() + g.out_c * g.out_h() * g.out_w()
+        );
     }
 
     #[test]

@@ -115,6 +115,13 @@ pub trait Layer: Send + Sync {
     /// (also excluding batch).
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize>;
 
+    /// Elements of the largest buffer set the forward pass works over, per
+    /// sample, for a given input shape (excluding batch): by default the
+    /// layer's output.
+    fn forward_footprint(&self, input_shape: &[usize]) -> usize {
+        self.output_shape(input_shape).iter().product()
+    }
+
     /// Clone into a boxed trait object (models are cloned per client).
     fn clone_box(&self) -> Box<dyn Layer>;
 }

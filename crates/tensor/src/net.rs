@@ -371,6 +371,19 @@ impl Sequential {
         total
     }
 
+    /// Largest per-sample forward working set, in `f32` elements: the input,
+    /// or any layer's [`Layer::forward_footprint`] (a convolution's im2col
+    /// matrix plus its output), whichever is biggest.
+    pub fn forward_footprint(&self) -> usize {
+        let mut shape = self.input_shape.clone();
+        let mut most: usize = shape.iter().product();
+        for l in &self.layers {
+            most = most.max(l.forward_footprint(&shape));
+            shape = l.output_shape(&shape);
+        }
+        most
+    }
+
     /// Predicted class indices for a batch.
     pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
         self.forward(x).argmax_rows()
@@ -428,6 +441,21 @@ mod tests {
         assert_eq!(net.num_params(), 4 * 8 + 8 + 8 * 3 + 3);
         assert_eq!(net.output_shape(), vec![3]);
         assert_eq!(net.feature_layer(), Some(1));
+    }
+
+    #[test]
+    fn forward_footprint_is_the_largest_layer_output() {
+        use crate::layers::{Flatten, MaxPool2d};
+        let mut rng = Prng::seed_from_u64(3);
+        // dense / ReLU / pool / flatten each report their output size
+        assert_eq!(Dense::new(4, 8, &mut rng).forward_footprint(&[4]), 8);
+        assert_eq!(Relu::new().forward_footprint(&[5, 3]), 15);
+        assert_eq!(MaxPool2d::new(2, 6, 6, 2).forward_footprint(&[2, 6, 6]), 18);
+        assert_eq!(Flatten::new().forward_footprint(&[2, 3, 3]), 18);
+        // the widest layer wins, and the input counts too
+        assert_eq!(tiny_net(&mut rng).forward_footprint(), 8);
+        let wide_in = Sequential::new(&[20]).with(Dense::new(20, 3, &mut rng));
+        assert_eq!(wide_in.forward_footprint(), 20);
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn centralized_plateau(kind: DatasetKind, samples: usize, epochs: usize) -> f64 
         }
     }
     let (tx, ty) = ds.test_set(30);
-    fedtrip_core::engine::evaluate_in_chunks(&mut net, &tx, &ty, 200)
+    fedtrip_core::engine::evaluate_in_chunks(&mut net, &tx, &ty)
 }
 
 fn main() {
