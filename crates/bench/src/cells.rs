@@ -155,19 +155,6 @@ pub fn run_trials(results: &Path, spec: &ExperimentSpec, trials: usize) -> Vec<C
         .collect()
 }
 
-/// Mean rounds-to-target over trials; `None` when no trial reached it.
-pub fn mean_rounds_to(cells: &[CellResult], target: f64) -> Option<f64> {
-    let hits: Vec<f64> = cells
-        .iter()
-        .filter_map(|c| c.rounds_to(target).map(|r| r as f64))
-        .collect();
-    if hits.is_empty() {
-        None
-    } else {
-        Some(hits.iter().sum::<f64>() / hits.len() as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

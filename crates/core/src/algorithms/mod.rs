@@ -172,11 +172,6 @@ impl ClientStateStore {
         self.entries.len()
     }
 
-    /// Whether a client currently holds a resident entry.
-    pub fn is_resident(&self, client: usize) -> bool {
-        self.entries.contains_key(&client)
-    }
-
     /// Read a client's state, if resident.
     pub fn get(&self, client: usize) -> Option<&ClientState> {
         self.entries.get(&client)

@@ -117,14 +117,17 @@ pub struct SimulationConfig {
     /// bit-identical to the pre-availability engine). Each client draws a
     /// seed-derived phase and is reachable on
     /// `round(availability_on_fraction × period)` rounds of every cycle —
-    /// see [`crate::runtime::AvailabilityModel`].
+    /// see [`crate::runtime::AvailabilityModel`]. Synchronous selection
+    /// only: the semi-async scheduler redispatches to unreachable clients.
     pub availability_period: usize,
     /// Fraction of each availability cycle a client is reachable; must be
     /// in `(0, 1]` when the diurnal trace is on (ignored otherwise).
     pub availability_on_fraction: f32,
     /// Churn join window in rounds (`0` = no churn): each client joins at
     /// a seed-derived round in `[0, join_window]` and later leaves for
-    /// good, its state evicted from the sparse store.
+    /// good, its state evicted from the sparse store. Synchronous selection
+    /// only: the semi-async scheduler also redispatches to clients that
+    /// have not joined or have left.
     pub churn_join_window: usize,
     /// Minimum churn residency in rounds — a joined client stays for a
     /// seed-derived lifetime in `[residency, 2·residency)`. Must be
@@ -636,11 +639,6 @@ impl Simulation {
     /// Current virtual wall-clock in seconds (the last fold's instant).
     pub fn virtual_time(&self) -> f64 {
         self.state.records.last().map_or(0.0, |r| r.virtual_time)
-    }
-
-    /// Per-client device profiles in effect (derived lazily per client).
-    pub fn device_profiles(&self) -> DeviceProfiles {
-        self.env.profiles
     }
 
     /// A copy of the global model as a ready-to-use network.

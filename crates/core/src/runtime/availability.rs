@@ -24,11 +24,12 @@
 //!
 //! The model composes into
 //! [`Sampler::participants_with`](crate::runtime::Sampler::participants_with):
-//! selection strategies filter to the available set, and the always-on
-//! model short-circuits to the
-//! legacy selection code paths bit-for-bit. [`UtilityTable`] carries the
-//! per-client statistical utility (most recent observed training loss) that
-//! the Oort-style `SelectionStrategy::Oort` scores against device speed.
+//! every selection strategy draws over the available set, falling back to
+//! the whole federation in a round where nobody is reachable. The
+//! semi-async redispatch path does not consult it yet. [`UtilityTable`]
+//! carries the per-client statistical utility (most recent observed
+//! training loss) that the Oort-style `SelectionStrategy::Oort` scores
+//! against device speed.
 
 use fedtrip_tensor::rng::Prng;
 use fedtrip_tensor::rng_tags;
@@ -104,8 +105,8 @@ impl AvailabilityModel {
         }
     }
 
-    /// Whether this is the trivial always-on model (the legacy-selection
-    /// fast path key).
+    /// Whether this is the trivial always-on model, where uniform selection
+    /// keeps its own draw.
     pub fn is_always_on(&self) -> bool {
         self.period == 0 && self.join_window == 0
     }

@@ -159,19 +159,15 @@ impl EdgeTier {
             outcomes.len(),
             "one client id per outcome required"
         );
-        // shard — the degenerate single-edge tier keeps the cohort as one
-        // bucket in input order (the flat-fold float sequence); buckets
-        // carry `(client, outcome)` pairs so the per-outcome stats keep
-        // their attribution through the shard-major reorder
-        let buckets: Vec<(usize, EdgeBucket)> = if self.n_edges() == 1 {
-            vec![(0, clients.iter().copied().zip(outcomes).collect())]
-        } else {
-            let mut by_edge: BTreeMap<usize, EdgeBucket> = BTreeMap::new();
-            for (o, &c) in outcomes.into_iter().zip(clients) {
-                by_edge.entry(self.edge_of(c)).or_default().push((c, o));
-            }
-            by_edge.into_iter().collect()
-        };
+        // shard — a single-edge tier yields one bucket in input order (the
+        // flat-fold float sequence); buckets carry `(client, outcome)` pairs
+        // so the per-outcome stats keep their attribution through the
+        // shard-major reorder
+        let mut by_edge: BTreeMap<usize, EdgeBucket> = BTreeMap::new();
+        for (o, &c) in outcomes.into_iter().zip(clients) {
+            by_edge.entry(self.edge_of(c)).or_default().push((c, o));
+        }
+        let buckets: Vec<(usize, EdgeBucket)> = by_edge.into_iter().collect();
         let active: Vec<usize> = buckets.iter().map(|(e, _)| *e).collect();
 
         // per-edge streaming folds, one rayon item per active edge

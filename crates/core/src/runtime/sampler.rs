@@ -1,9 +1,10 @@
 //! Client participation: selection strategies and straggler injection.
 //!
-//! Moved verbatim out of the monolithic engine — the RNG stream derivations
-//! (`(seed, SELECT, t)` for selection, `(seed, FA11, t)` for failures) are
-//! unchanged, which is what keeps the [`Synchronous`](super::Synchronous)
-//! scheduler bit-identical to the pre-runtime engine.
+//! Every strategy is one draw over an *admit* predicate — the availability
+//! model for a synchronous round, "not busy" for a semi-async redispatch —
+//! on a seed-derived stream: `(SELECT, t)` for selection, `(OORT, t)` for
+//! Oort's exploration, `(DISPATCH, t)` for redispatch and `(FAILURE, t)` for
+//! straggler injection.
 //!
 //! ```
 //! use fedtrip_core::runtime::{Sampler, SelectionStrategy};
@@ -111,12 +112,6 @@ impl ClientSizes {
             ClientSizes::PerClient(v) => v[c],
         }
     }
-
-    /// Materialize the selection weights (O(N) — only the
-    /// `WeightedBySamples` strategy pays this).
-    fn weights(&self) -> Vec<f64> {
-        (0..self.n_clients()).map(|c| self.get(c) as f64).collect()
-    }
 }
 
 impl From<Vec<usize>> for ClientSizes {
@@ -136,8 +131,7 @@ pub struct Sampler {
     failure_prob: f32,
     /// Per-client sample counts (weights for `WeightedBySamples`).
     client_sizes: ClientSizes,
-    /// Reachability traces and churn epochs; the default always-on model
-    /// short-circuits to the legacy selection paths bit-for-bit.
+    /// Reachability traces and churn epochs (always-on by default).
     availability: AvailabilityModel,
     /// Device profiles for the Oort speed factor (unit spread by default).
     profiles: DeviceProfiles,
@@ -223,114 +217,76 @@ impl Sampler {
     /// the availability model and scoring `Oort` selection against
     /// `utility`.
     ///
-    /// The always-on model with a non-`Oort` strategy takes the legacy
-    /// code path verbatim — same RNG stream, same draw count — which is
-    /// what keeps the golden fixtures pinned. When a trace leaves *no*
-    /// client reachable in round `t`, the filter is ignored for that round
-    /// (liveness fallback, documented in DESIGN.md) so the federation
-    /// never stalls.
+    /// When a trace leaves *no* client reachable in round `t`, the filter
+    /// is ignored for that round (liveness fallback, documented in
+    /// DESIGN.md) so the federation never stalls.
     pub fn select_with(&self, t: usize, utility: &UtilityTable) -> Vec<usize> {
-        if self.availability.is_always_on() && self.strategy != SelectionStrategy::Oort {
-            return self.select_unfiltered(t);
-        }
+        let rng = || Prng::derive(self.seed, rng_tags::SELECT, &[t as u64]);
+        let (k, cap) = (self.clients_per_round, 16 * self.clients_per_round + 64);
         let mut selected = match self.strategy {
-            SelectionStrategy::Oort => self.select_oort(t, utility),
-            SelectionStrategy::Uniform => self.select_uniform_filtered(t),
-            SelectionStrategy::RoundRobin => self.select_roundrobin_filtered(t),
-            SelectionStrategy::WeightedBySamples => self.select_weighted_filtered(t),
-        };
-        selected.sort_unstable(); // deterministic aggregation order
-        selected.dedup();
-        selected
-    }
-
-    /// The pre-availability selection paths, bit-identical to the original
-    /// engine: `(SELECT, t)` stream, no reachability filter.
-    fn select_unfiltered(&self, t: usize) -> Vec<usize> {
-        let (n, k) = (self.n_clients, self.clients_per_round);
-        let mut sel_rng = Prng::derive(self.seed, rng_tags::SELECT, &[t as u64]);
-        let mut selected = match self.strategy {
-            // `Oort` only lands here through the liveness fallback, where
-            // no scoring is possible — degrade to uniform
-            SelectionStrategy::Uniform | SelectionStrategy::Oort => sel_rng.sample_indices(n, k),
-            SelectionStrategy::RoundRobin => (0..k).map(|i| ((t - 1) * k + i) % n).collect(),
-            SelectionStrategy::WeightedBySamples => {
-                weighted_draw(&mut sel_rng, self.client_sizes.weights(), k)
-            }
-        };
-        selected.sort_unstable(); // deterministic aggregation order
-        selected.dedup();
-        selected
-    }
-
-    /// Uniform selection over the available set: rejection-sample the
-    /// `(SELECT, t)` stream (expected O(K) while a reasonable fraction of
-    /// the federation is reachable), falling back to materializing the
-    /// available pool when the draw cap runs out.
-    fn select_uniform_filtered(&self, t: usize) -> Vec<usize> {
-        let (n, k) = (self.n_clients, self.clients_per_round);
-        let mut rng = Prng::derive(self.seed, rng_tags::SELECT, &[t as u64]);
-        let mut picked: Vec<usize> = Vec::with_capacity(k);
-        let cap = 16 * k + 64;
-        let mut attempts = 0;
-        while picked.len() < k && attempts < cap {
-            attempts += 1;
-            let c = rng.below(n);
-            if self.availability.is_available(c, t) && !picked.contains(&c) {
-                picked.push(c);
-            }
-        }
-        if picked.len() < k {
-            let mut pool: Vec<usize> = (0..n)
-                .filter(|&c| self.availability.is_available(c, t) && !picked.contains(&c))
-                .collect();
-            if pool.is_empty() && picked.is_empty() {
-                return self.select_unfiltered(t); // liveness fallback
-            }
-            while picked.len() < k && !pool.is_empty() {
-                picked.push(pool.swap_remove(rng.below(pool.len())));
-            }
-        }
-        picked
-    }
-
-    /// Round-robin over the available set: walk from the round's cursor,
-    /// skipping unreachable clients (at most one full sweep).
-    fn select_roundrobin_filtered(&self, t: usize) -> Vec<usize> {
-        let (n, k) = (self.n_clients, self.clients_per_round);
-        let start = (t - 1) * k;
-        let mut picked = Vec::with_capacity(k);
-        let mut off = 0;
-        while picked.len() < k && off < n {
-            let c = (start + off) % n;
-            off += 1;
-            if self.availability.is_available(c, t) && !picked.contains(&c) {
-                picked.push(c);
-            }
-        }
-        if picked.is_empty() {
-            return self.select_unfiltered(t); // liveness fallback
-        }
-        picked
-    }
-
-    /// Weighted-by-samples over the available set: unreachable clients get
-    /// zero weight (O(N), like the unfiltered weighted path).
-    fn select_weighted_filtered(&self, t: usize) -> Vec<usize> {
-        let mut rng = Prng::derive(self.seed, rng_tags::SELECT, &[t as u64]);
-        let weights: Vec<f64> = (0..self.n_clients)
-            .map(|c| {
-                if self.availability.is_available(c, t) {
-                    self.client_sizes.get(c) as f64
-                } else {
-                    0.0
+            SelectionStrategy::Oort => self.select_oort(t, utility, cap),
+            s if self.availability.is_always_on() => self.draw_everyone(s, t, &mut rng()),
+            s => {
+                let available = |c| self.availability.is_available(c, t);
+                match self.draw(s, t, &mut rng(), k, cap, available) {
+                    // liveness fallback: a fresh stream, everyone admitted
+                    picked if picked.is_empty() => self.draw_everyone(s, t, &mut rng()),
+                    picked => picked,
                 }
-            })
-            .collect();
-        if weights.iter().all(|&w| w <= 0.0) {
-            return self.select_unfiltered(t); // liveness fallback
+            }
+        };
+        selected.sort_unstable(); // deterministic aggregation order
+        selected.dedup();
+        selected
+    }
+
+    /// Round `t`'s draw with every client admitted: the always-on model's,
+    /// and the liveness fallback's.
+    fn draw_everyone(&self, strategy: SelectionStrategy, t: usize, rng: &mut Prng) -> Vec<usize> {
+        let k = self.clients_per_round;
+        match strategy {
+            // ROADMAP 4(b) residual: uniform keeps the partial Fisher–Yates
+            // of `Prng::sample_indices`, which draws differently from the
+            // rejection draw, and the goldens pin both
+            SelectionStrategy::Uniform => rng.sample_indices(self.n_clients, k),
+            s => self.draw(s, t, rng, k, usize::MAX, |_| true),
         }
-        weighted_draw(&mut rng, weights, self.clients_per_round)
+    }
+
+    /// One strategy's draw of up to `k` distinct clients that `admit`
+    /// accepts (unsorted). Uniform (and Oort, which has no utility in scope
+    /// here) is [`fill_uniform`] with at most `cap` rejection tries;
+    /// round-robin sweeps once from the round's cursor `(t − 1)·K`, taking
+    /// the first `k` admitted clients; weighted-by-samples draws
+    /// proportional to sample count, every rejected client at weight 0
+    /// (O(N)). Empty only when no admitted client holds a sample.
+    fn draw(
+        &self,
+        strategy: SelectionStrategy,
+        t: usize,
+        rng: &mut Prng,
+        k: usize,
+        cap: usize,
+        admit: impl Fn(usize) -> bool,
+    ) -> Vec<usize> {
+        let n = self.n_clients;
+        match strategy {
+            SelectionStrategy::Uniform | SelectionStrategy::Oort => {
+                let mut picked = Vec::with_capacity(k);
+                fill_uniform(rng, n, k, cap, admit, &mut picked);
+                picked
+            }
+            SelectionStrategy::RoundRobin => {
+                let start = (t - 1) * self.clients_per_round;
+                let sweep = (0..n).map(|off| (start + off) % n);
+                sweep.filter(|&c| admit(c)).take(k).collect()
+            }
+            SelectionStrategy::WeightedBySamples => {
+                let size = |c| self.client_sizes.get(c) as f64;
+                let weights = (0..n).map(|c| if admit(c) { size(c) } else { 0.0 });
+                weighted_draw(rng, weights.collect(), k)
+            }
+        }
     }
 
     /// Oort-style utility-aware selection on the `(OORT, t)` stream.
@@ -344,39 +300,24 @@ impl Sampler {
     /// clients keep entering the score table. Cost is
     /// O(|table| log |table| + K); the table never exceeds rounds × K
     /// entries.
-    fn select_oort(&self, t: usize, utility: &UtilityTable) -> Vec<usize> {
+    fn select_oort(&self, t: usize, utility: &UtilityTable, cap: usize) -> Vec<usize> {
         let (n, k) = (self.n_clients, self.clients_per_round);
         let mut rng = Prng::derive(self.seed, rng_tags::OORT, &[t as u64]);
+        let available = |c| self.availability.is_available(c, t);
         let mut scored: Vec<(f64, usize)> = utility
             .iter()
-            .filter(|&(c, _)| c < n && self.availability.is_available(c, t))
+            .filter(|&(c, _)| c < n && available(c))
             .map(|(c, loss)| (loss / self.profiles.get(c).compute_multiplier, c))
             .collect();
         scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         let explore_k = ((k as f64) * OORT_EXPLORE_FRAC).ceil() as usize;
         let exploit_k = k.saturating_sub(explore_k).min(scored.len());
         let mut picked: Vec<usize> = scored[..exploit_k].iter().map(|&(_, c)| c).collect();
-        let cap = 16 * k + 64;
-        let mut attempts = 0;
-        while picked.len() < k && attempts < cap {
-            attempts += 1;
-            let c = rng.below(n);
-            if self.availability.is_available(c, t) && !picked.contains(&c) {
-                picked.push(c);
-            }
-        }
-        if picked.len() < k {
-            let mut pool: Vec<usize> = (0..n)
-                .filter(|&c| self.availability.is_available(c, t) && !picked.contains(&c))
-                .collect();
-            if pool.is_empty() && picked.is_empty() {
-                // liveness fallback: nobody reachable, nothing scored —
-                // degrade to an unfiltered uniform draw on this stream
-                return rng.sample_indices(n, k);
-            }
-            while picked.len() < k && !pool.is_empty() {
-                picked.push(pool.swap_remove(rng.below(pool.len())));
-            }
+        fill_uniform(&mut rng, n, k, cap, available, &mut picked);
+        if picked.is_empty() {
+            // liveness fallback: nobody reachable, nothing scored —
+            // degrade to an unfiltered uniform draw on this stream
+            return rng.sample_indices(n, k);
         }
         picked
     }
@@ -425,9 +366,11 @@ impl Sampler {
     /// in flight, uniform selection rejection-samples over the whole
     /// federation (expected O(k) when `N ≫ K`) and round-robin walks from
     /// the round's cursor skipping busy clients, so the cost per server
-    /// step is independent of federation size. `WeightedBySamples` under uniform sizes is exactly
-    /// uniform selection; under explicit per-client sizes it falls back to
-    /// materializing the idle pool (O(N), documented).
+    /// step is independent of federation size. `WeightedBySamples` under
+    /// uniform sizes is exactly uniform selection; under explicit
+    /// per-client sizes it weighs the whole federation, busy clients at
+    /// zero (O(N), documented). Oort degrades to uniform selection. The
+    /// availability model is not consulted here (ROADMAP 4(b)).
     ///
     /// Uses a dedicated RNG stream tagged `(DISPATCH, t)`, so it never
     /// collides with the synchronous selection stream.
@@ -440,67 +383,62 @@ impl Sampler {
             busy.windows(2).all(|w| w[0] < w[1]) && busy.iter().all(|&c| c < self.n_clients),
             "busy list must be sorted, distinct, in-range"
         );
-        let idle = self.n_clients - busy.len();
-        let k = k.min(idle);
+        let k = k.min(self.n_clients - busy.len());
         if k == 0 {
             return Vec::new();
         }
-        let is_busy = |c: usize| busy.binary_search(&c).is_ok();
-        let mut rng = Prng::derive(self.seed, rng_tags::DISPATCH, &[t as u64]);
-        // weighted-by-samples over uniform sizes IS uniform selection;
-        // Oort degrades to uniform here (no utility snapshot in scope)
-        let uniform = matches!(
-            self.strategy,
-            SelectionStrategy::Uniform | SelectionStrategy::Oort
-        ) || (self.strategy == SelectionStrategy::WeightedBySamples
-            && matches!(self.client_sizes, ClientSizes::Uniform { .. }));
-        let mut picked: Vec<usize> = if uniform {
-            let mut sel: Vec<usize> = Vec::with_capacity(k);
-            while sel.len() < k {
-                let c = rng.below(self.n_clients);
-                if !is_busy(c) && !sel.contains(&c) {
-                    sel.push(c);
-                }
+        let strategy = match (self.strategy, &self.client_sizes) {
+            (SelectionStrategy::WeightedBySamples, ClientSizes::Uniform { .. }) => {
+                SelectionStrategy::Uniform
             }
-            sel
-        } else if self.strategy == SelectionStrategy::RoundRobin {
-            // rotate from the round's cursor, skipping busy clients
-            let start = (t - 1) * self.clients_per_round;
-            let mut sel = Vec::with_capacity(k);
-            let mut off = 0;
-            while sel.len() < k && off < self.n_clients {
-                let c = (start + off) % self.n_clients;
-                off += 1;
-                if !is_busy(c) && !sel.contains(&c) {
-                    sel.push(c);
-                }
-            }
-            sel
-        } else {
-            // explicit non-uniform sizes: materialize the idle pool
-            let pool: Vec<usize> = (0..self.n_clients).filter(|&c| !is_busy(c)).collect();
-            weighted_draw(
-                &mut rng,
-                pool.iter()
-                    .map(|&c| self.client_sizes.get(c) as f64)
-                    .collect(),
-                k,
-            )
-            .into_iter()
-            .map(|i| pool[i])
-            .collect()
+            (s, _) => s,
         };
+        let mut rng = Prng::derive(self.seed, rng_tags::DISPATCH, &[t as u64]);
+        // k ≤ idle, so the uncapped rejection draw always fills the cohort
+        let idle = |c| busy.binary_search(&c).is_err();
+        let mut picked = self.draw(strategy, t, &mut rng, k, usize::MAX, idle);
         picked.sort_unstable();
         picked.dedup();
         picked
     }
 }
 
+/// Fill `picked` up to `k` distinct clients that `admit` accepts: up to
+/// `cap` uniform tries on `rng` (expected O(k) while a fair share of the
+/// federation is admitted), then uniform draws from the materialized pool
+/// of admitted clients not yet picked. Leaves `picked` short only when
+/// fewer than `k` clients are admitted.
+fn fill_uniform(
+    rng: &mut Prng,
+    n: usize,
+    k: usize,
+    cap: usize,
+    admit: impl Fn(usize) -> bool,
+    picked: &mut Vec<usize>,
+) {
+    let mut attempts = 0;
+    while picked.len() < k && attempts < cap {
+        attempts += 1;
+        let c = rng.below(n);
+        if admit(c) && !picked.contains(&c) {
+            picked.push(c);
+        }
+    }
+    if picked.len() < k {
+        let mut pool: Vec<usize> = (0..n)
+            .filter(|&c| admit(c) && !picked.contains(&c))
+            .collect();
+        while picked.len() < k && !pool.is_empty() {
+            picked.push(pool.swap_remove(rng.below(pool.len())));
+        }
+    }
+}
+
 /// Sequential weighted draw without replacement: up to `k` distinct indices
 /// into `weights`, each draw proportional to the remaining weight mass.
-/// Stops early if the remaining mass is exhausted. Shared by the full-
-/// federation selection and the restricted semi-async redispatch so the two
-/// paths can never diverge.
+/// Stops early if the remaining mass is exhausted. Zero-weight entries are
+/// skipped and add nothing to the mass, so zeroing a client picks exactly
+/// what dropping it from `weights` would.
 fn weighted_draw(rng: &mut Prng, mut weights: Vec<f64>, k: usize) -> Vec<usize> {
     let mut picked = Vec::with_capacity(k);
     for _ in 0..k {
@@ -666,9 +604,9 @@ mod tests {
     }
 
     #[test]
-    fn always_on_select_with_matches_legacy_select() {
-        // the always-on fast path must be the legacy selection verbatim,
-        // utility table or not — this is what pins the golden fixtures
+    fn always_on_select_with_matches_select() {
+        // without availability filtering a utility table changes nothing
+        // for the non-Oort strategies — this is what pins the golden fixtures
         for strategy in [
             SelectionStrategy::Uniform,
             SelectionStrategy::RoundRobin,

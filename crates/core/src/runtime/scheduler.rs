@@ -238,22 +238,22 @@ impl Scheduler for Synchronous {
         // are dropped from the fold (their work is never received, so it
         // is not charged); when *everyone* would miss it, the fastest
         // client is kept so the round still aggregates. `deadline == 0`
-        // keeps the whole cohort — the pre-deadline path.
-        let keep: Vec<bool> = if rt.deadline_secs > 0.0 {
-            let mut keep: Vec<bool> = durs.iter().map(|&d| d <= rt.deadline_secs).collect();
-            if keep.iter().all(|&k| !k) {
-                let mut fastest = 0;
-                for (i, &d) in durs.iter().enumerate() {
-                    if d < durs[fastest] {
-                        fastest = i;
-                    }
-                }
-                keep[fastest] = true;
-            }
-            keep
+        // means no deadline: an infinite one keeps the whole cohort
+        let deadline = if rt.deadline_secs > 0.0 {
+            rt.deadline_secs
         } else {
-            vec![true; selected.len()]
+            f64::INFINITY
         };
+        let mut keep: Vec<bool> = durs.iter().map(|&d| d <= deadline).collect();
+        if keep.iter().all(|&k| !k) {
+            let mut fastest = 0;
+            for (i, &d) in durs.iter().enumerate() {
+                if d < durs[fastest] {
+                    fastest = i;
+                }
+            }
+            keep[fastest] = true;
+        }
         // per-edge barrier: each edge aggregator waits for its slowest
         // *reporting* cohort member (a single-edge tier reduces to the
         // global barrier — the same running f64::max over the same
@@ -262,7 +262,7 @@ impl Scheduler for Synchronous {
         let mut edge_dt: BTreeMap<usize, f64> = BTreeMap::new();
         for ((&d, &c), &k) in durs.iter().zip(&selected).zip(&keep) {
             let slot = edge_dt.entry(rt.edges.edge_of(c)).or_insert(0.0f64);
-            *slot = slot.max(if k { d } else { rt.deadline_secs });
+            *slot = slot.max(if k { d } else { deadline });
         }
         let durations: Vec<(usize, f64)> = edge_dt.into_iter().collect();
         rt.edges

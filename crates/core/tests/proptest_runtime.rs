@@ -1,10 +1,18 @@
 //! Property-based tests for the runtime layer: staleness-discount weights
-//! (positive, monotone-decreasing, sum-preserving at aggregation) and
-//! seed-derived device profiles (deterministic, bounded).
+//! (positive, monotone-decreasing, sum-preserving at aggregation),
+//! seed-derived device profiles (deterministic, bounded), and the client
+//! sampler's draws against its reference.
 
 use fedtrip_core::algorithms::{weighted_param_average, LocalOutcome};
-use fedtrip_core::runtime::{staleness_weight, DeviceProfile};
+use fedtrip_core::runtime::{
+    staleness_weight, AvailabilityModel, ClientSizes, DeviceProfile, DeviceProfiles, Sampler,
+    SelectionStrategy, UtilityTable,
+};
 use proptest::prelude::*;
+use reference::ReferenceSampler;
+
+#[path = "common/sampler_reference.rs"]
+mod reference;
 
 fn outcome(params: Vec<f32>, n_samples: usize, staleness: usize, exponent: f32) -> LocalOutcome {
     LocalOutcome {
@@ -93,5 +101,99 @@ proptest! {
         prop_assert!(a.bandwidth_bytes_per_sec > 0.0);
         // more work never takes less virtual time
         prop_assert!(a.duration(2e9, 1e6) > a.duration(1e9, 1e6));
+    }
+}
+
+/// The availability regimes the sampler is checked under: always-on,
+/// diurnal 4:0.5, churn 2:3, both together, and a sparse trace (diurnal
+/// 24:0.05, run at N = 3) where most rounds reach nobody and selection takes
+/// the liveness fallback.
+fn availability(regime: usize, seed: u64, n: usize) -> AvailabilityModel {
+    match regime {
+        0 => AvailabilityModel::always_on(seed, n),
+        1 => AvailabilityModel::new(seed, n, 4, 0.5, 0, 0),
+        2 => AvailabilityModel::new(seed, n, 0, 1.0, 2, 3),
+        3 => AvailabilityModel::new(seed, n, 4, 0.5, 2, 3),
+        _ => AvailabilityModel::new(seed, n, 24, 0.05, 0, 0),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every public draw of the sampler returns exactly the reference's
+    /// `Vec`, for all four strategies, every availability regime, uniform
+    /// and unequal per-client sizes, random utility tables and random busy
+    /// sets, over rounds 1..64.
+    #[test]
+    fn sampler_draws_match_the_reference(
+        seed in 0u64..1 << 40,
+        strategy in prop::sample::select(vec![
+            SelectionStrategy::Uniform,
+            SelectionStrategy::RoundRobin,
+            SelectionStrategy::WeightedBySamples,
+            SelectionStrategy::Oort,
+        ]),
+        regime in 0usize..5,
+        n_pick in 4usize..48,
+        k_pick in 1usize..48,
+        per_client in 0usize..2,
+        sizes in prop::collection::vec(1usize..100, 48),
+        failure_prob in 0.0f32..0.6,
+        spread in 1.0f64..8.0,
+        table_clients in prop::collection::vec(0usize..52, 0..24),
+        table_losses in prop::collection::vec(0.0f64..5.0, 24),
+        busy_mask in prop::collection::vec(0usize..3, 48),
+        idle_k in 0usize..52,
+    ) {
+        let n = if regime == 4 { 3 } else { n_pick };
+        let k = 1 + (k_pick - 1) % n;
+        let client_sizes = if per_client == 1 {
+            ClientSizes::PerClient(sizes[..n].to_vec())
+        } else {
+            ClientSizes::Uniform { n_clients: n, samples: sizes[0] }
+        };
+        let avail = availability(regime, seed, n);
+        let profiles = DeviceProfiles::new(seed, n, spread);
+        let sampler = Sampler::new(seed, k, strategy, failure_prob, client_sizes.clone())
+            .with_availability(avail)
+            .with_profiles(profiles);
+        let reference = ReferenceSampler {
+            seed,
+            clients_per_round: k,
+            strategy,
+            failure_prob,
+            client_sizes,
+            availability: avail,
+            profiles,
+        };
+        let utility = UtilityTable::from_pairs(
+            table_clients.iter().copied().zip(table_losses.iter().copied()),
+        );
+        let busy: Vec<usize> = (0..n).filter(|&c| busy_mask[c] == 0).collect();
+        for t in 1..64 {
+            let case = format!("{strategy:?} regime {regime} n {n} k {k} t {t}");
+            prop_assert_eq!(sampler.select(t), reference.select(t), "{}", case);
+            prop_assert_eq!(
+                sampler.select_with(t, &utility),
+                reference.select_with(t, &utility),
+                "{}",
+                case
+            );
+            prop_assert_eq!(
+                sampler.participants_with(t, &utility),
+                reference.participants_with(t, &utility),
+                "{}",
+                case
+            );
+            prop_assert_eq!(
+                sampler.select_idle(t, &busy, idle_k),
+                reference.select_idle(t, &busy, idle_k),
+                "{} busy {:?} idle_k {}",
+                case,
+                busy,
+                idle_k
+            );
+        }
     }
 }

@@ -108,12 +108,6 @@ impl Tensor {
         self.data.is_empty()
     }
 
-    /// Number of dimensions.
-    #[inline]
-    pub fn ndim(&self) -> usize {
-        self.shape.len()
-    }
-
     /// Immutable view of the underlying buffer (row-major).
     #[inline]
     pub fn as_slice(&self) -> &[f32] {
@@ -249,13 +243,6 @@ impl Tensor {
         Tensor {
             data: self.data.iter().map(|&v| f(v)).collect(),
             shape: self.shape.clone(),
-        }
-    }
-
-    /// Apply `f` to every element in place.
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
         }
     }
 
