@@ -12,7 +12,8 @@
 //! * `p` — number of historical models MOON contrasts against (1 here).
 //!
 //! [`CostModel`] carries those quantities for a concrete experiment;
-//! [`AttachCost`] is the per-round result.
+//! [`AttachCost`] is the per-round result, and [`RoundCosts`] the bytes a
+//! simulated round charges once the codecs have had their say.
 
 use serde::{Deserialize, Serialize};
 
@@ -90,17 +91,42 @@ impl AttachCost {
     }
 }
 
-/// Virtual seconds one edge aggregator needs to ship a summary of `bytes`
-/// to the root over the reference backhaul link.
-///
-/// Edge→root links are modeled homogeneous at the reference bandwidth
-/// (aggregation sites are provisioned infrastructure, unlike the spread of
-/// client devices), so the uplink charge is a pure function of the encoded
-/// summary size. `0.0` bytes — the colocated `E = 1` root — costs exactly
-/// `0.0` seconds, which keeps single-edge clock arithmetic bit-identical to
-/// the flat engine.
-pub fn edge_uplink_secs(bytes: f64) -> f64 {
-    bytes / crate::runtime::clock::BASE_BANDWIDTH_BPS
+/// What one round charges on the wire, in bytes per client and per edge,
+/// built by `Env::round_costs` from the codecs and the [`AttachCost`].
+#[derive(Debug, Clone, Copy)]
+pub struct RoundCosts {
+    /// One client's upload: `|w|` plus the uplink extras, each encoded.
+    pub up: f64,
+    /// The same upload at raw f32 width.
+    pub dense_up: f64,
+    /// A dense full-model broadcast (`|w|` plus downlink extras, raw f32).
+    pub down_dense: f64,
+    /// An encoded delta broadcast (`down_dense` on a dense downlink).
+    pub down_delta: f64,
+    /// Each active edge's summary uplink to the root (`0.0` at `E = 1`).
+    pub edge_up: f64,
+    /// The broadcast relayed to each active edge: dense on resyncs, else
+    /// the delta (`0.0` at `E = 1` or on a dense downlink).
+    pub edge_down: f64,
+    /// Seconds of one edge's root links at the reference bandwidth
+    /// (provisioned sites, unlike client devices); `0.0` at `E = 1`.
+    pub edge_secs: f64,
+}
+
+impl RoundCosts {
+    /// One broadcast: the dense model or the encoded delta.
+    pub fn down(&self, dense: bool) -> f64 {
+        if dense {
+            self.down_dense
+        } else {
+            self.down_delta
+        }
+    }
+
+    /// One client's round trip: its upload plus the broadcast it received.
+    pub fn client(&self, dense_down: bool) -> f64 {
+        self.up + self.down(dense_down)
+    }
 }
 
 /// Appendix-A Table VIII rows, as functions of the cost model.

@@ -1,14 +1,9 @@
-//! The federated simulation engine.
-//!
-//! Historically a single ~450-line struct that owned selection, failure
-//! injection, local training, accounting, aggregation and evaluation all at
-//! once; now a thin driver over the layered [`crate::runtime`]: a
-//! [`Sampler`] owns *who* participates, a
-//! [`ClientExecutor`] owns the
-//! rayon-parallel local-training fan-out, a [`Scheduler`] owns *when*
-//! results fold into the global model, and a [`VirtualClock`] plus
-//! per-client [`DeviceProfiles`] turn the Appendix-A cost accounting
-//! (FLOPs, bytes) into virtual seconds.
+//! The federated simulation engine: a thin loop over the layered
+//! [`crate::runtime`]. A [`Sampler`] owns *who* participates, a
+//! [`ClientExecutor`] owns the rayon-parallel local-training fan-out, a
+//! [`Scheduler`] owns *when* results fold into the global model, and a
+//! [`VirtualClock`] plus per-client [`DeviceProfiles`] turn the Appendix-A
+//! cost accounting (FLOPs, bytes) into virtual seconds.
 //!
 //! Two schedulers ship: [`RunMode::Sync`] reproduces the paper's §III-A
 //! synchronous round loop **bit-for-bit** (pinned by the golden regression
@@ -16,9 +11,8 @@
 //! FedBuff-style buffered aggregator for straggler-dominated federations.
 //! The engine keeps doing the bookkeeping the paper's evaluation is built
 //! on: participation gaps (FedTrip's `xi`), cumulative communication bytes,
-//! cumulative local-compute FLOPs, per-round test accuracy, and — new with
-//! the runtime split — the virtual wall-clock behind a time-to-accuracy
-//! metric.
+//! cumulative local-compute FLOPs, per-round test accuracy, and the
+//! virtual wall-clock behind a time-to-accuracy metric.
 //!
 //! A [`Simulation`] is an [`Env`] (everything derived from the
 //! configuration, rebuilt and never saved), the method, and a [`SimState`]
@@ -27,11 +21,11 @@
 use crate::algorithms::{Algorithm, ClientStateStore};
 use crate::checkpoint::SimState;
 use crate::compression::{error_feedback_into, CompressionKind, Compressor};
-use crate::costs::CostModel;
-use crate::runtime::ClientExecutor;
+use crate::costs::{AttachCost, CostModel, RoundCosts};
+use crate::runtime::clock::BASE_BANDWIDTH_BPS;
 use crate::runtime::{
-    AvailabilityModel, ClientSizes, DeviceProfiles, RuntimeCtx, Sampler, Scheduler, SemiAsync,
-    StepOutput, Synchronous, UtilityTable, VirtualClock,
+    AvailabilityModel, ClientExecutor, ClientSizes, DeviceProfiles, FoldStats, RuntimeCtx, Sampler,
+    Scheduler, SemiAsync, StepOutput, Synchronous, UtilityTable, VirtualClock,
 };
 pub use crate::runtime::{RunMode, SelectionStrategy};
 use fedtrip_data::partition::{HeterogeneityKind, Partition};
@@ -111,11 +105,10 @@ pub struct SimulationConfig {
     /// shard by `client mod E`, each edge folds its own cohort on its own
     /// clock and ships one summary uplink to the root per fold. `1` (the
     /// default) colocates the single edge with the root — the flat fold,
-    /// bit-identical to the pre-tier engine.
+    /// bit for bit.
     pub edges: usize,
-    /// Diurnal availability cycle length in rounds (`0` = always-on,
-    /// bit-identical to the pre-availability engine). Each client draws a
-    /// seed-derived phase and is reachable on
+    /// Diurnal availability cycle length in rounds (`0` = always-on). Each
+    /// client draws a seed-derived phase and is reachable on
     /// `round(availability_on_fraction × period)` rounds of every cycle —
     /// see [`crate::runtime::AvailabilityModel`]. Synchronous selection
     /// only: the semi-async scheduler redispatches to unreachable clients.
@@ -141,11 +134,10 @@ pub struct SimulationConfig {
     pub deadline_secs: f32,
     /// Downlink codec applied to the server's global-model broadcast.
     /// [`CompressionKind::None`] keeps the dense full-model send of the
-    /// paper setting, bit-identical to the pre-delta engine. Any other
-    /// codec switches the broadcast to compressed **deltas** against the
-    /// last broadcast, with server-side error feedback: clients
-    /// reconstruct their view incrementally, periodic resyncs and
-    /// on-demand dense sends (joiners) keep the view anchored.
+    /// paper setting. Any other codec switches the broadcast to compressed
+    /// **deltas** against the last broadcast, with server-side error
+    /// feedback: clients reconstruct their view incrementally, periodic
+    /// resyncs and on-demand dense sends (joiners) keep the view anchored.
     pub downlink_compression: CompressionKind,
     /// Periodic full-model resync interval `R` for delta broadcasts: every
     /// `R`-th round the server sends the dense global model and clears the
@@ -524,6 +516,48 @@ impl Env {
         }
     }
 
+    /// What one round charges on the wire for a method with `attach`
+    /// extras: each direction rides its own codec (dense = the identity
+    /// codec), so the clock charges exactly the bytes the codecs would
+    /// emit. `delta_down` says the downlink sends encoded deltas, and
+    /// `resync` that this round sends the dense model instead (what the
+    /// root relays to each edge when `E > 1`).
+    pub fn round_costs(&self, attach: &AttachCost, delta_down: bool, resync: bool) -> RoundCosts {
+        let n = self.n_params();
+        let f32_bytes = std::mem::size_of::<f32>() as f64;
+        let encoded = |codec: &dyn Compressor, extra: usize| {
+            let extra = if extra > 0 {
+                codec.encoded_len(extra)
+            } else {
+                0
+            };
+            (codec.encoded_len(n) + extra) as f64
+        };
+        let up = encoded(self.compressor.as_ref(), attach.up_params);
+        let down_dense = (n + attach.down_params) as f64 * f32_bytes;
+        let down_delta = if delta_down {
+            encoded(self.down_codec.as_ref(), attach.down_params)
+        } else {
+            down_dense
+        };
+        let edged = self.cfg.edges > 1;
+        let edge_up = if edged { up } else { 0.0 };
+        let edge_down = match (edged && delta_down, resync) {
+            (false, _) => 0.0,
+            (true, true) => down_dense,
+            (true, false) => down_delta,
+        };
+        RoundCosts {
+            up,
+            dense_up: (n + attach.up_params) as f64 * f32_bytes,
+            down_dense,
+            down_delta,
+            edge_up,
+            edge_down,
+            edge_secs: (edge_up + edge_down) / BASE_BANDWIDTH_BPS,
+        }
+    }
+
     /// Test accuracy of `global` (chunked forward pass, the test rows split
     /// across the rayon workers).
     pub fn evaluate(&self, global: &[f32]) -> f64 {
@@ -662,6 +696,10 @@ impl Simulation {
     /// one buffer fold); returns the new record. Reads the [`Env`], writes
     /// the [`SimState`]: the round counter, the cumulative bytes and FLOPs
     /// and the root clock all continue from the last record.
+    ///
+    /// A round is four steps: price the wire ([`Env::round_costs`]),
+    /// broadcast, let the scheduler train and fold, then keep the books
+    /// (`evict_departed`, `account`) and finish the fold.
     pub fn run_round(&mut self) -> &RoundRecord {
         let Simulation {
             env,
@@ -671,111 +709,20 @@ impl Simulation {
         } = self;
         let cfg = &env.cfg;
         let t = state.records.len() + 1;
-        let last = state.records.last();
-        let mut cum_comm_bytes = last.map_or(0.0, |r| r.cum_comm_bytes);
-        let mut cum_flops = last.map_or(0.0, |r| r.cum_flops);
-        let mut clock = VirtualClock::at(last.map_or(0.0, |r| r.virtual_time));
-
-        // accounting basis: every method exchanges |w| parameters each way
-        // plus the attach-cost extras. Each direction rides its own codec
-        // (dense = the identity codec), so the clock charges exactly the
-        // bytes the compressors would emit: the uplink encodes the update
-        // (+ uplink extras), the downlink encodes the broadcast delta —
-        // except for dense full-model sends (resyncs, joiners), charged at
-        // f32 width.
-        let n_params = state.global.len();
-        let cost = env.cost_model();
-        let attach = algorithm.attach_cost(&cost);
-        let f32_bytes = std::mem::size_of::<f32>();
-        let down_bytes = ((n_params + attach.down_params) * f32_bytes) as f64;
-        let dense_up_bytes = ((n_params + attach.up_params) * f32_bytes) as f64;
-        let up_bytes = (env.compressor.encoded_len(n_params)
-            + if attach.up_params > 0 {
-                env.compressor.encoded_len(attach.up_params)
-            } else {
-                0
-            }) as f64;
+        let mut clock = VirtualClock::at(state.records.last().map_or(0.0, |r| r.virtual_time));
+        // a lossy downlink codec broadcasts deltas; every
+        // `resync_interval`-th of those rounds sends the dense model
         let delta_down = !env.down_codec.is_identity();
-        let delta_down_bytes = if delta_down {
-            (env.down_codec.encoded_len(n_params)
-                + if attach.down_params > 0 {
-                    env.down_codec.encoded_len(attach.down_params)
-                } else {
-                    0
-                }) as f64
-        } else {
-            down_bytes
-        };
-
-        // delta-broadcast step: encode the server's movement since the last
-        // broadcast through the downlink codec with error feedback, and
-        // advance the clients' reconstructed view by what survived the
-        // wire. Every `resync_interval`-th round sends the dense model
-        // instead, clearing the residual and bumping the sync epoch so
-        // every client re-anchors. Dense downlinks skip all of this — the
-        // pre-delta path, bit for bit.
-        let resync_round =
-            delta_down && cfg.resync_interval > 0 && t.is_multiple_of(cfg.resync_interval);
+        let resync = delta_down && cfg.resync_interval > 0 && t.is_multiple_of(cfg.resync_interval);
+        let attach = algorithm.attach_cost(&env.cost_model());
+        let costs = env.round_costs(&attach, delta_down, resync);
         if delta_down {
-            if resync_round {
-                state.broadcast_view.clone_from(&state.global);
-                state.broadcast_last.clone_from(&state.global);
-                state.broadcast_residual = None;
-                state.broadcast_epoch += 1;
-            } else {
-                // the decoded delta lands in `broadcast_last`, which is
-                // re-based on the global model right after
-                let (delta, wire) = broadcast_scratch;
-                delta.clear();
-                delta.extend(
-                    state
-                        .global
-                        .iter()
-                        .zip(&state.broadcast_last)
-                        .map(|(g, l)| g - l),
-                );
-                error_feedback_into(
-                    env.down_codec.as_ref(),
-                    delta,
-                    &mut state.broadcast_residual,
-                    true,
-                    wire,
-                    &mut state.broadcast_last,
-                );
-                for (v, d) in state.broadcast_view.iter_mut().zip(&state.broadcast_last) {
-                    *v += d;
-                }
-                state.broadcast_last.clone_from(&state.global);
-            }
+            broadcast(env.down_codec.as_ref(), state, resync, broadcast_scratch);
         }
 
-        // edge links: the merged fold's summary uplink has the wire shape
-        // of one client upload and rides the uplink codec; under delta
-        // broadcasts the root additionally relays this round's broadcast
-        // (dense on resyncs, encoded delta otherwise) to each
-        // participating edge. Both are free when the single edge is
-        // colocated with the root (E = 1), and the relay adds exactly 0.0
-        // when the downlink is dense, keeping the legacy accounting
-        // bit-identical.
-        let edge_uplink_bytes = if cfg.edges > 1 { up_bytes } else { 0.0 };
-        let edge_down_bytes = if cfg.edges > 1 && delta_down {
-            if resync_round {
-                down_bytes
-            } else {
-                delta_down_bytes
-            }
-        } else {
-            0.0
-        };
-        let edge_uplink_secs = crate::costs::edge_uplink_secs(edge_uplink_bytes + edge_down_bytes);
-
-        let StepOutput {
-            fold,
-            folded,
-            participants,
-            edges_active,
-        } = {
-            let mut rt = RuntimeCtx {
+        let out = env.scheduler.step(
+            t,
+            &mut RuntimeCtx {
                 exec: ClientExecutor {
                     cfg,
                     dataset: &env.dataset,
@@ -783,7 +730,7 @@ impl Simulation {
                     template: &env.template,
                     compressor: env.compressor.as_ref(),
                     down_delta: delta_down,
-                    resync_round,
+                    resync_round: resync,
                     broadcast_epoch: state.broadcast_epoch,
                 },
                 sampler: &env.sampler,
@@ -799,89 +746,23 @@ impl Simulation {
                     &state.global
                 },
                 states: &mut state.states,
-                comm_up_bytes: up_bytes,
-                comm_down_dense_bytes: down_bytes,
-                comm_down_delta_bytes: delta_down_bytes,
+                costs,
                 edges: &mut state.edges,
-                edge_uplink_secs,
                 utility: &state.utility,
-                deadline_secs: cfg.deadline_secs as f64,
                 scheduler: &mut state.scheduler,
-            };
-            env.scheduler.step(t, &mut rt)
-        };
+            },
+        );
 
-        let mut down_bytes_round = 0.0;
-        for o in &folded {
-            let down = if o.dense_down {
-                down_bytes
-            } else {
-                delta_down_bytes
-            };
-            down_bytes_round += down;
-            cum_comm_bytes += down + up_bytes;
-            cum_flops += o.train_flops;
-        }
-        // utility bookkeeping for Oort selection
-        for o in &folded {
+        let mut record = account(state.records.last(), t, &costs, &out, clock.now());
+        for o in &out.folded {
             state.utility.record(o.client, o.mean_loss);
         }
-        // churn: evict departed clients' state (and utility) the round
-        // they leave — a pure function of the round counter, so a resumed
-        // run evicts identically
-        let avail = *env.sampler.availability();
-        if avail.has_churn() {
-            let departed: Vec<usize> = state
-                .states
-                .iter()
-                .map(|(c, _)| c)
-                .filter(|&c| avail.has_left(c, t))
-                .collect();
-            for c in departed {
-                drop(state.states.take(c));
-                state.utility.evict(c);
-            }
-        }
-        // each participating edge shipped one summary to the root, and —
-        // under delta broadcasts — received one broadcast relay (both add
-        // exactly 0.0 when E = 1, keeping the flat accounting bit-identical)
-        let edge_uplink_total = edges_active as f64 * edge_uplink_bytes;
-        let edge_down_total = edges_active as f64 * edge_down_bytes;
-        cum_comm_bytes += edge_uplink_total;
-        cum_comm_bytes += edge_down_total;
-        let mean_loss =
-            folded.iter().map(|o| o.mean_loss).sum::<f64>() / folded.len().max(1) as f64;
-        let mean_staleness =
-            folded.iter().map(|o| o.staleness as f64).sum::<f64>() / folded.len().max(1) as f64;
-
-        // the scheduler already streamed every arrival into `fold`; all
-        // that is left is the method's finish step
-        algorithm.server_finish(&mut state.global, fold, t);
-
-        let accuracy = if t.is_multiple_of(cfg.eval_every) {
-            Some(env.evaluate(&state.global))
-        } else {
-            None
-        };
-
-        state.records.push(RoundRecord {
-            round: t,
-            accuracy,
-            mean_loss,
-            cum_comm_bytes,
-            cum_flops,
-            selected: participants,
-            virtual_time: clock.now(),
-            mean_staleness,
-            comm_bytes_up: up_bytes * folded.len() as f64 + edge_uplink_total,
-            compression_ratio: dense_up_bytes / up_bytes,
-            comm_bytes_down: down_bytes_round + edge_down_total,
-            compression_ratio_down: if down_bytes_round > 0.0 {
-                down_bytes * folded.len() as f64 / down_bytes_round
-            } else {
-                1.0
-            },
-        });
+        evict_departed(env, state, t);
+        algorithm.server_finish(&mut state.global, out.fold, t);
+        record.accuracy = t
+            .is_multiple_of(cfg.eval_every)
+            .then(|| env.evaluate(&state.global));
+        state.records.push(record);
         #[expect(clippy::expect_used, reason = "record pushed on the line above")]
         state.records.last().expect("just pushed")
     }
@@ -925,6 +806,115 @@ impl Simulation {
     /// "final accuracy" metric).
     pub fn final_accuracy(&self, n: usize) -> f64 {
         final_accuracy(&self.state.records, n)
+    }
+}
+
+/// The delta-broadcast step: encode the server's movement since the last
+/// broadcast through the downlink `codec` with error feedback, and advance
+/// the clients' reconstructed view by what survived the wire. A `resync`
+/// round sends the dense model instead: it clears the residual and bumps
+/// the sync epoch, so every client re-anchors. `delta` and `wire` are
+/// scratch buffers, reused across rounds.
+fn broadcast(
+    codec: &dyn Compressor,
+    state: &mut SimState,
+    resync: bool,
+    (delta, wire): &mut (Vec<f32>, Vec<u8>),
+) {
+    if resync {
+        state.broadcast_view.clone_from(&state.global);
+        state.broadcast_last.clone_from(&state.global);
+        state.broadcast_residual = None;
+        state.broadcast_epoch += 1;
+        return;
+    }
+    // the decoded delta lands in `broadcast_last`, which is re-based on
+    // the global model right after
+    delta.clear();
+    delta.extend(
+        state
+            .global
+            .iter()
+            .zip(&state.broadcast_last)
+            .map(|(g, l)| g - l),
+    );
+    error_feedback_into(
+        codec,
+        delta,
+        &mut state.broadcast_residual,
+        true,
+        wire,
+        &mut state.broadcast_last,
+    );
+    for (v, d) in state.broadcast_view.iter_mut().zip(&state.broadcast_last) {
+        *v += d;
+    }
+    state.broadcast_last.clone_from(&state.global);
+}
+
+/// Churn: evict the state (and utility) of the clients that leave the
+/// federation at round `t`. Departure is a pure function of the round
+/// counter, so a resumed run evicts identically.
+fn evict_departed(env: &Env, state: &mut SimState, t: usize) {
+    let avail = env.sampler.availability();
+    if !avail.has_churn() {
+        return;
+    }
+    let departed: Vec<usize> = state
+        .states
+        .iter()
+        .map(|(c, _)| c)
+        .filter(|&c| avail.has_left(c, t))
+        .collect();
+    for c in departed {
+        drop(state.states.take(c));
+        state.utility.evict(c);
+    }
+}
+
+/// Round `t`'s record (accuracy not yet filled in): what `out` folded,
+/// priced at `costs`, continuing the cumulative bytes and FLOPs of `last`.
+/// Each folded client is charged its upload plus the broadcast it received;
+/// each participating edge its summary uplink and broadcast relay (both
+/// `0.0` at `E = 1`).
+fn account(
+    last: Option<&RoundRecord>,
+    t: usize,
+    costs: &RoundCosts,
+    out: &StepOutput,
+    now: f64,
+) -> RoundRecord {
+    let mut cum_comm_bytes = last.map_or(0.0, |r| r.cum_comm_bytes);
+    let mut cum_flops = last.map_or(0.0, |r| r.cum_flops);
+    let mut down = 0.0;
+    for o in &out.folded {
+        down += costs.down(o.dense_down);
+        cum_comm_bytes += costs.client(o.dense_down);
+        cum_flops += o.train_flops;
+    }
+    let edge_up = out.edges_active as f64 * costs.edge_up;
+    let edge_down = out.edges_active as f64 * costs.edge_down;
+    cum_comm_bytes += edge_up;
+    cum_comm_bytes += edge_down;
+    let n = out.folded.len() as f64;
+    let mean = |f: fn(&FoldStats) -> f64| out.folded.iter().map(f).sum::<f64>() / n.max(1.0);
+    RoundRecord {
+        round: t,
+        accuracy: None,
+        mean_loss: mean(|o| o.mean_loss),
+        cum_comm_bytes,
+        cum_flops,
+        selected: out.participants.clone(),
+        virtual_time: now,
+        mean_staleness: mean(|o| o.staleness as f64),
+        comm_bytes_up: costs.up * n + edge_up,
+        compression_ratio: costs.dense_up / costs.up,
+        comm_bytes_down: down + edge_down,
+        compression_ratio_down: if down > 0.0 {
+            costs.down_dense * n / down
+        } else {
+            1.0
+        },
     }
 }
 

@@ -170,8 +170,9 @@ impl ClientExecutor<'_> {
                     // in the current sync epoch (first participation, churn
                     // joiner, a missed resync) — or anyone on a resync
                     // round — received the dense base; everyone else got
-                    // the compressed delta. Dense downlinks never touch the
-                    // epoch, so the legacy state layout is preserved.
+                    // the compressed delta. Dense downlinks leave the epoch
+                    // `None`: nothing reads it there, so their client states
+                    // and snapshots carry no sync bookkeeping.
                     if down_delta {
                         outcome.dense_down =
                             resync_round || state.sync_epoch != Some(broadcast_epoch);

@@ -3,17 +3,16 @@
 //! The paper's engine (§III-A) is a strictly synchronous round loop. Real
 //! resource-constrained federations — the setting FedTrip targets — are
 //! bottlenecked by heterogeneous device speed and stragglers, which a
-//! synchronous-only engine cannot model. This module decomposes the engine
-//! into composable layers so the async/staleness scenario family opens up
-//! while the paper's sync semantics stay bit-identical:
+//! synchronous-only engine cannot model. The runtime is therefore a stack
+//! of composable layers, under which the paper's synchronous loop is one
+//! scheduler among two:
 //!
 //! * [`clock`] — a [`VirtualClock`] plus per-client [`DeviceProfile`]s
 //!   (compute-speed multiplier and link bandwidth, derived deterministically
 //!   from the master seed) that compose with the Appendix-A cost accounting
 //!   to turn FLOPs and bytes into virtual seconds;
 //! * [`sampler`] — [`Sampler`] owns *who* participates: the selection
-//!   strategies and straggler injection that used to live inside the engine,
-//!   with the exact same RNG stream derivations;
+//!   strategies and straggler injection, each on its own RNG stream;
 //! * [`executor`] — [`ClientExecutor`] owns local-training fan-out: the
 //!   rayon-parallel client loop with deterministic per-client RNG streams;
 //! * [`scheduler`] — [`Scheduler`] owns *when* client results fold into the
@@ -33,8 +32,8 @@
 //! any scheduler sees them, downlink delta broadcasts are encoded by the
 //! engine before the executor fans out, and both schedulers charge the
 //! *encoded* bytes of each direction to the clock through
-//! `RuntimeCtx::comm_bytes_for` (dense full-model sends — joiners,
-//! resyncs — charge f32 width).
+//! [`RoundCosts::client`](crate::costs::RoundCosts::client) (dense
+//! full-model sends — joiners, resyncs — charge f32 width).
 //!
 //! Every layer is O(K) per server step and O(participants) in resident
 //! memory — client states live in a sparse store, partition shards and
@@ -68,8 +67,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RunMode {
     /// The paper's barriered round loop: every selected client reports back
-    /// before the server aggregates (bit-identical to the pre-runtime
-    /// engine).
+    /// before the server aggregates.
     Sync,
     /// FedBuff-style buffered semi-asynchronous aggregation: the server
     /// folds the first `B` arrivals by virtual completion time, discounting

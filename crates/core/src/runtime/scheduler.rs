@@ -1,10 +1,8 @@
 //! Aggregation scheduling: *when* client results fold into the global model.
 //!
-//! [`Synchronous`] is the paper's barriered round loop (§III-A), moved out
-//! of the monolithic engine without changing a single RNG derivation or
-//! float operation — a golden regression test
-//! (`crates/core/tests/golden_sync.rs`) pins it bit-for-bit against records
-//! captured from the pre-runtime engine.
+//! [`Synchronous`] is the paper's barriered round loop (§III-A); a golden
+//! regression test (`crates/core/tests/golden_sync.rs`) pins its records
+//! bit for bit.
 //!
 //! [`SemiAsync`] is a FedBuff-style buffered aggregator (Nguyen et al.,
 //! *Federated Learning with Buffered Asynchronous Aggregation*): clients
@@ -35,6 +33,7 @@ use super::edge::EdgeTier;
 use super::executor::ClientExecutor;
 use super::sampler::Sampler;
 use crate::algorithms::{Algorithm, ClientStateStore, LocalOutcome, ServerFold};
+use crate::costs::RoundCosts;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -66,35 +65,15 @@ pub struct RuntimeCtx<'a> {
     pub global: &'a [f32],
     /// Sparse per-client persistent states.
     pub states: &'a mut ClientStateStore,
-    /// Encoded bytes one client **uploads** to the server per round
-    /// (`|w|` + method extras, through the uplink codec), for link-time
-    /// accounting.
-    pub comm_up_bytes: f64,
-    /// Downlink bytes of a **dense** full-model broadcast (`|w|` + method
-    /// extras, raw f32) — what a client on a dense downlink, a resync
-    /// round, or an on-demand base send receives.
-    pub comm_down_dense_bytes: f64,
-    /// Downlink bytes of a compressed **delta** broadcast (through the
-    /// downlink codec). Equals `comm_down_dense_bytes` when the downlink is
-    /// dense, so the legacy duration formula is reproduced bit for bit.
-    pub comm_down_delta_bytes: f64,
+    /// What this round charges on the wire (client bytes, edge links).
+    pub costs: RoundCosts,
     /// The hierarchical aggregation tier (a single-edge tier is the flat
     /// fold, bit for bit).
     pub edges: &'a mut EdgeTier,
-    /// Virtual seconds one edge aggregator needs to ship its merged summary
-    /// to the root — `0.0` when the root is colocated (`E = 1`).
-    pub edge_uplink_secs: f64,
     /// Per-client statistical utility (most recent observed loss) for the
     /// Oort selection strategy; read-only during the step, updated by the
     /// engine from the fold stats afterwards.
     pub utility: &'a UtilityTable,
-    /// Synchronous reporting deadline in virtual seconds — clients whose
-    /// round duration exceeds it are dropped from the fold and the round
-    /// barrier is capped at the deadline. `0.0` disables the cutoff
-    /// (bit-identical to the pre-deadline scheduler). The semi-async
-    /// scheduler ignores it: buffered aggregation already tolerates
-    /// stragglers instead of dropping them.
-    pub deadline_secs: f64,
     /// The scheduler's position — fold counter, in-flight and buffered
     /// jobs. It lives in the run state, so a checkpoint carries it and the
     /// schedulers themselves keep only their parameters.
@@ -102,16 +81,24 @@ pub struct RuntimeCtx<'a> {
 }
 
 impl RuntimeCtx<'_> {
-    /// Total bytes one client exchanges with the server for `outcome`'s
-    /// round: the encoded uplink plus whichever broadcast it received
-    /// (dense base or compressed delta, per [`LocalOutcome::dense_down`]).
-    pub fn comm_bytes_for(&self, outcome: &LocalOutcome) -> f64 {
-        self.comm_up_bytes
-            + if outcome.dense_down {
-                self.comm_down_dense_bytes
-            } else {
-                self.comm_down_delta_bytes
-            }
+    /// Train `clients` as server step `t`, and time each one on its own
+    /// device: its compute plus the bytes it exchanged
+    /// ([`RoundCosts::client`]). Outcomes and durations are in `clients`
+    /// order.
+    fn train_timed(&mut self, t: usize, clients: &[usize]) -> (Vec<LocalOutcome>, Vec<f64>) {
+        let outcomes = self
+            .exec
+            .train_batch(self.algorithm, self.global, self.states, clients, t);
+        let durations = outcomes
+            .iter()
+            .zip(clients)
+            .map(|(o, &c)| {
+                self.profiles
+                    .get(c)
+                    .duration(o.train_flops, self.costs.client(o.dense_down))
+            })
+            .collect();
+        (outcomes, durations)
     }
 
     /// Stream a cohort of outcomes (already in arrival order, with
@@ -221,26 +208,14 @@ impl Scheduler for Synchronous {
 
     fn step(&self, t: usize, rt: &mut RuntimeCtx<'_>) -> StepOutput {
         let selected = rt.sampler.participants_with(t, rt.utility);
-        let outcomes = rt
-            .exec
-            .train_batch(rt.algorithm, rt.global, rt.states, &selected, t);
-        // per-client round durations, in selection order
-        let durs: Vec<f64> = outcomes
-            .iter()
-            .zip(&selected)
-            .map(|(o, &c)| {
-                rt.profiles
-                    .get(c)
-                    .duration(o.train_flops, rt.comm_bytes_for(o))
-            })
-            .collect();
+        let (outcomes, durs) = rt.train_timed(t, &selected);
         // deadline cutoff: clients that would report after the deadline
         // are dropped from the fold (their work is never received, so it
         // is not charged); when *everyone* would miss it, the fastest
         // client is kept so the round still aggregates. `deadline == 0`
         // means no deadline: an infinite one keeps the whole cohort
-        let deadline = if rt.deadline_secs > 0.0 {
-            rt.deadline_secs
+        let deadline = if rt.exec.cfg.deadline_secs > 0.0 {
+            rt.exec.cfg.deadline_secs as f64
         } else {
             f64::INFINITY
         };
@@ -266,7 +241,7 @@ impl Scheduler for Synchronous {
         }
         let durations: Vec<(usize, f64)> = edge_dt.into_iter().collect();
         rt.edges
-            .advance_round(rt.clock, &durations, rt.edge_uplink_secs);
+            .advance_round(rt.clock, &durations, rt.costs.edge_secs);
         let mut kept_clients = Vec::with_capacity(selected.len());
         let mut kept_outcomes = Vec::with_capacity(selected.len());
         for ((o, &c), &k) in outcomes.into_iter().zip(&selected).zip(&keep) {
@@ -335,14 +310,8 @@ impl SemiAsync {
         if batch.is_empty() {
             return;
         }
-        let outcomes = rt
-            .exec
-            .train_batch(rt.algorithm, rt.global, rt.states, batch, t);
-        for (outcome, &client) in outcomes.into_iter().zip(batch) {
-            let duration = rt
-                .profiles
-                .get(client)
-                .duration(outcome.train_flops, rt.comm_bytes_for(&outcome));
+        let (outcomes, durations) = rt.train_timed(t, batch);
+        for ((outcome, duration), &client) in outcomes.into_iter().zip(durations).zip(batch) {
             rt.scheduler.in_flight.push(Job {
                 client,
                 dispatch_version: rt.scheduler.version,
@@ -428,7 +397,7 @@ impl Scheduler for SemiAsync {
         if rt.edges.n_edges() > 1 {
             let durations: Vec<(usize, f64)> = active.iter().map(|&e| (e, 0.0)).collect();
             rt.edges
-                .advance_round(rt.clock, &durations, rt.edge_uplink_secs);
+                .advance_round(rt.clock, &durations, rt.costs.edge_secs);
         }
         rt.scheduler.version += 1;
         StepOutput {

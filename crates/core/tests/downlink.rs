@@ -120,14 +120,17 @@ proptest! {
     /// Downlink byte accounting replays exactly from the sync epochs:
     /// before each round, predict every selected client's charge (dense
     /// base iff it is off the current broadcast epoch or the round is a
-    /// resync; encoded delta otherwise) and match `comm_bytes_down` to
-    /// the f64 sum — and every churn joiner's first round is a dense
-    /// base, never a delta against state it does not have.
+    /// resync; encoded delta otherwise), plus with `E > 1` one broadcast
+    /// relay per participating edge (dense on resyncs, the delta
+    /// otherwise), and match `comm_bytes_down` to the f64 sum — and every
+    /// churn joiner's first round is a dense base, never a delta against
+    /// state it does not have.
     #[test]
     fn joiners_get_dense_bases_and_epoch_accounting_replays(
         seed in 0u64..500,
         codec_idx in 0usize..CODECS.len(),
         resync in 0usize..4,
+        edges in 1usize..=3,
     ) {
         let kind = CODECS[codec_idx];
         let codec = kind.build();
@@ -137,6 +140,7 @@ proptest! {
         cfg.resync_interval = resync;
         cfg.churn_join_window = 3;
         cfg.churn_residency = 4;
+        cfg.edges = edges;
         let mut sim = Simulation::new(cfg, AlgorithmKind::FedAvg.build(&HyperParams::default()));
         let n = sim.global_params().len();
         let dense = (4 * n) as f64;
@@ -159,6 +163,11 @@ proptest! {
                 // after the round, every participant is on the current epoch
                 let after = sim.client_states().get(c).and_then(|s| s.sync_epoch);
                 prop_assert_eq!(after, Some(epoch), "round {t}: client {c} not synced");
+            }
+            if edges > 1 {
+                let active: std::collections::BTreeSet<usize> =
+                    rec.selected.iter().map(|c| c % edges).collect();
+                predicted += active.len() as f64 * if resync_round { dense } else { delta };
             }
             prop_assert_eq!(
                 rec.comm_bytes_down, predicted,
