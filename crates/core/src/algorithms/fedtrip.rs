@@ -147,7 +147,10 @@ impl Algorithm for FedTrip {
 
         let params = net.params_flat();
         // the updated local model becomes next participation's history
-        state.historical = Some(params.clone());
+        match &mut state.historical {
+            Some(h) => h.clone_from(&params),
+            None => state.historical = Some(params.clone()),
+        }
         state.last_round = Some(ctx.round);
 
         let attach = formulas::fedtrip(&CostModel {

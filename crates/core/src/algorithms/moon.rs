@@ -144,7 +144,7 @@ impl Algorithm for Moon {
                         *d = scale * gv;
                     }
                 }
-                net.backward_with_feature_grad(&ce_grad, &fgrad);
+                net.backward_params_with_feature_grad(&ce_grad, &fgrad);
                 opt.step(net);
 
                 iterations += 1;
@@ -154,7 +154,10 @@ impl Algorithm for Moon {
         }
 
         let params = net.params_flat();
-        state.historical = Some(params.clone());
+        match &mut state.historical {
+            Some(h) => h.clone_from(&params),
+            None => state.historical = Some(params.clone()),
+        }
         state.last_round = Some(ctx.round);
 
         // Attach cost: the two extra forward passes actually executed.

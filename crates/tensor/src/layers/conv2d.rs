@@ -60,6 +60,60 @@ impl Conv2d {
     fn out_elems(&self) -> usize {
         self.geom.out_c * self.geom.col_cols()
     }
+
+    /// The parameter half of the backward pass: gathers `dY` into the wide
+    /// layout, then `dW += dY_wide colᵀ` and `db += per-channel sums of dY`.
+    /// Returns the cached column matrix, the batch size and `dY_wide`; the
+    /// caller gives both buffers back to the arena.
+    fn accumulate_param_grads(
+        &mut self,
+        grad_out: &Tensor,
+        scratch: &mut Scratch,
+    ) -> (Vec<f32>, usize, Vec<f32>) {
+        let g = self.geom;
+        #[expect(
+            clippy::expect_used,
+            reason = "backward-after-forward is the layer contract"
+        )]
+        let (col, batch) = self
+            .cached_col
+            .take()
+            .expect("Conv2d::backward called before forward");
+        let n_cols = g.col_cols();
+        let wide = batch * n_cols;
+        let out_elems = self.out_elems();
+        debug_assert_eq!(grad_out.len(), batch * out_elems);
+        debug_assert_eq!(col.len(), g.col_rows() * wide);
+
+        // gather dY [batch, out_c, n_cols] into the wide layout
+        // [out_c, batch*n_cols] that pairs with the cached column matrix
+        let mut dy_wide = scratch.take(g.out_c * wide);
+        for bi in 0..batch {
+            let dy = &grad_out.as_slice()[bi * out_elems..(bi + 1) * out_elems];
+            for oc in 0..g.out_c {
+                dy_wide[oc * wide + bi * n_cols..][..n_cols]
+                    .copy_from_slice(&dy[oc * n_cols..(oc + 1) * n_cols]);
+            }
+        }
+
+        // dW += dY_wide * col^T — one GEMM reduces over the whole batch
+        let mut dw = scratch.take(g.out_c * g.col_rows());
+        sgemm_a_bt(g.out_c, wide, g.col_rows(), &dy_wide, &col, &mut dw);
+        for (acc, v) in self.grad_weight.iter_mut().zip(&dw) {
+            *acc += v;
+        }
+        scratch.give(dw);
+
+        // db += per-channel sums of dY
+        for oc in 0..g.out_c {
+            let mut s = 0.0f32;
+            for &v in &dy_wide[oc * wide..(oc + 1) * wide] {
+                s += v;
+            }
+            self.grad_bias[oc] += s;
+        }
+        (col, batch, dy_wide)
+    }
 }
 
 impl Layer for Conv2d {
@@ -121,51 +175,13 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, grad_out: Tensor, scratch: &mut Scratch) -> Tensor {
         let g = self.geom;
-        #[expect(
-            clippy::expect_used,
-            reason = "backward-after-forward is the layer contract"
-        )]
-        let (mut col, batch) = self
-            .cached_col
-            .take()
-            .expect("Conv2d::backward called before forward");
+        let (mut col, batch, dy_wide) = self.accumulate_param_grads(&grad_out, scratch);
         let n_cols = g.col_cols();
         let wide = batch * n_cols;
         let in_elems = self.in_elems();
-        let out_elems = self.out_elems();
-        debug_assert_eq!(grad_out.len(), batch * out_elems);
-        debug_assert_eq!(col.len(), g.col_rows() * wide);
-
-        // gather dY [batch, out_c, n_cols] into the wide layout
-        // [out_c, batch*n_cols] that pairs with the cached column matrix
-        let mut dy_wide = scratch.take(g.out_c * wide);
-        for bi in 0..batch {
-            let dy = &grad_out.as_slice()[bi * out_elems..(bi + 1) * out_elems];
-            for oc in 0..g.out_c {
-                dy_wide[oc * wide + bi * n_cols..][..n_cols]
-                    .copy_from_slice(&dy[oc * n_cols..(oc + 1) * n_cols]);
-            }
-        }
-
-        // dW += dY_wide * col^T — one GEMM reduces over the whole batch
-        let mut dw = scratch.take(g.out_c * g.col_rows());
-        sgemm_a_bt(g.out_c, wide, g.col_rows(), &dy_wide, &col, &mut dw);
-        for (acc, v) in self.grad_weight.iter_mut().zip(&dw) {
-            *acc += v;
-        }
-        scratch.give(dw);
-
-        // db += per-channel sums of dY
-        for oc in 0..g.out_c {
-            let mut s = 0.0f32;
-            for &v in &dy_wide[oc * wide..(oc + 1) * wide] {
-                s += v;
-            }
-            self.grad_bias[oc] += s;
-        }
 
         // d(col) = W^T dY_wide — reuse the column buffer (its contents were
-        // consumed by the dW GEMM above); then scatter back per image
+        // consumed by the dW GEMM); then scatter back per image
         sgemm_at_b(
             g.out_c,
             g.col_rows(),
@@ -183,6 +199,13 @@ impl Layer for Conv2d {
         scratch.give(col);
         scratch.give_tensor(grad_out);
         grad_in
+    }
+
+    fn backward_params(&mut self, grad_out: Tensor, scratch: &mut Scratch) {
+        let (col, _, dy_wide) = self.accumulate_param_grads(&grad_out, scratch);
+        scratch.give(dy_wide);
+        scratch.give(col);
+        scratch.give_tensor(grad_out);
     }
 
     fn params(&self) -> Vec<&[f32]> {

@@ -45,6 +45,39 @@ impl Dense {
     pub fn out_dim(&self) -> usize {
         self.out_dim
     }
+
+    /// The parameter half of the backward pass: `dW += Xᵀ dY` and
+    /// `db += column sums of dY`. Returns the cached input, which the
+    /// caller gives back to the arena, and the batch size.
+    fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> (Tensor, usize) {
+        #[expect(
+            clippy::expect_used,
+            reason = "backward-after-forward is the layer contract"
+        )]
+        let x = self
+            .cached_input
+            .take()
+            .expect("Dense::backward called before forward");
+        let batch = grad_out.len() / self.out_dim;
+        debug_assert_eq!(batch * self.in_dim, x.len());
+
+        // dW += X^T dY  (X: [batch, in], dY: [batch, out])
+        sgemm_at_b_accum(
+            batch,
+            self.in_dim,
+            self.out_dim,
+            x.as_slice(),
+            grad_out.as_slice(),
+            &mut self.grad_weight,
+        );
+        // db += column sums of dY
+        for row in grad_out.as_slice().chunks_exact(self.out_dim) {
+            for (g, &d) in self.grad_bias.iter_mut().zip(row) {
+                *g += d;
+            }
+        }
+        (x, batch)
+    }
 }
 
 impl Layer for Dense {
@@ -84,32 +117,7 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: Tensor, scratch: &mut Scratch) -> Tensor {
-        #[expect(
-            clippy::expect_used,
-            reason = "backward-after-forward is the layer contract"
-        )]
-        let x = self
-            .cached_input
-            .take()
-            .expect("Dense::backward called before forward");
-        let batch = grad_out.len() / self.out_dim;
-        debug_assert_eq!(batch * self.in_dim, x.len());
-
-        // dW += X^T dY  (X: [batch, in], dY: [batch, out])
-        sgemm_at_b_accum(
-            batch,
-            self.in_dim,
-            self.out_dim,
-            x.as_slice(),
-            grad_out.as_slice(),
-            &mut self.grad_weight,
-        );
-        // db += column sums of dY
-        for row in grad_out.as_slice().chunks_exact(self.out_dim) {
-            for (g, &d) in self.grad_bias.iter_mut().zip(row) {
-                *g += d;
-            }
-        }
+        let (x, batch) = self.accumulate_param_grads(&grad_out);
         // dX = dY W^T  (W: [in, out] interpreted as B with n=in, k=out);
         // fully overwritten by sgemm_a_bt
         let mut grad_in = scratch.take_tensor(&[batch, self.in_dim]);
@@ -124,6 +132,12 @@ impl Layer for Dense {
         scratch.give_tensor(x);
         scratch.give_tensor(grad_out);
         grad_in
+    }
+
+    fn backward_params(&mut self, grad_out: Tensor, scratch: &mut Scratch) {
+        let (x, _) = self.accumulate_param_grads(&grad_out);
+        scratch.give_tensor(x);
+        scratch.give_tensor(grad_out);
     }
 
     fn params(&self) -> Vec<&[f32]> {

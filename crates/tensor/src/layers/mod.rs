@@ -52,6 +52,16 @@ pub trait Layer: Send + Sync {
     /// `grad_out`; buffers that do not escape must go back to `scratch`.
     fn backward(&mut self, grad_out: Tensor, scratch: &mut Scratch) -> Tensor;
 
+    /// [`Layer::backward`] for a layer whose input gradient nothing reads
+    /// (the first trainable layer of a network): accumulates the parameter
+    /// gradients only. By default it runs `backward` and gives the input
+    /// gradient back to `scratch`; layers whose input gradient costs real
+    /// work override it to skip that work.
+    fn backward_params(&mut self, grad_out: Tensor, scratch: &mut Scratch) {
+        let grad_in = self.backward(grad_out, scratch);
+        scratch.give_tensor(grad_in);
+    }
+
     /// Flat views of the layer's parameters, in a stable order.
     fn params(&self) -> Vec<&[f32]> {
         Vec::new()
@@ -108,7 +118,13 @@ pub trait Layer: Send + Sync {
     /// Analytic forward FLOPs for a single sample.
     fn flops_forward(&self) -> u64;
 
-    /// Analytic backward FLOPs for a single sample.
+    /// Analytic backward FLOPs for a single sample: the textbook backward,
+    /// input gradient included. Training skips the first trainable layer's
+    /// input gradient ([`Layer::backward_params`]), but the recorded cost
+    /// model (paper Table V) still counts it. So the benchmark's
+    /// `tensor.train_step_gflops`, which divides these FLOPs by a timed
+    /// `train_step`, reads higher than the rate the kernels run at;
+    /// `tensor.backward_ms` still times the full backward.
     fn flops_backward(&self) -> u64;
 
     /// Output shape (excluding the batch dimension) for a given input shape

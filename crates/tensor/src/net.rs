@@ -25,6 +25,9 @@ pub struct Sequential {
     loss: SoftmaxCrossEntropy,
     /// Index of the layer whose *output* is the feature representation.
     feature_layer: Option<usize>,
+    /// Index of the first layer with parameters: training back-propagates
+    /// down to it and no further.
+    first_trainable: Option<usize>,
     /// Cached per-layer input element counts (per sample), for FLOPs.
     layer_input_elems: Vec<usize>,
     /// Reusable buffer arena for the hot loop.
@@ -40,6 +43,7 @@ impl Clone for Sequential {
             input_shape: self.input_shape.clone(),
             loss: self.loss.clone(),
             feature_layer: self.feature_layer,
+            first_trainable: self.first_trainable,
             layer_input_elems: self.layer_input_elems.clone(),
             scratch: Scratch::new(),
         }
@@ -68,6 +72,7 @@ impl Sequential {
             input_shape: input_shape.to_vec(),
             loss: SoftmaxCrossEntropy::new(),
             feature_layer: None,
+            first_trainable: None,
             layer_input_elems: Vec::new(),
             scratch: Scratch::new(),
         }
@@ -83,6 +88,9 @@ impl Sequential {
     pub fn push(&mut self, layer: Box<dyn Layer>) {
         let in_shape = self.current_output_shape();
         self.layer_input_elems.push(in_shape.iter().product());
+        if self.first_trainable.is_none() && layer.num_params() > 0 {
+            self.first_trainable = Some(self.layers.len());
+        }
         self.layers.push(layer);
     }
 
@@ -147,13 +155,7 @@ impl Sequential {
     /// # Panics
     /// Panics if no feature layer was marked.
     pub fn forward_with_features(&mut self, x: &Tensor) -> (Tensor, Tensor) {
-        #[expect(
-            clippy::expect_used,
-            reason = "documented precondition: a feature layer is marked"
-        )]
-        let fi = self
-            .feature_layer
-            .expect("forward_with_features: no feature layer marked");
+        let fi = self.marked_feature_layer();
         let Sequential {
             layers, scratch, ..
         } = self;
@@ -172,14 +174,8 @@ impl Sequential {
     /// Backward pass from a logits gradient; accumulates parameter grads and
     /// returns the input gradient.
     pub fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
-        let Sequential {
-            layers, scratch, ..
-        } = self;
-        let mut g = scratch.take_copy(grad_logits);
-        for l in layers.iter_mut().rev() {
-            g = l.backward(g, scratch);
-        }
-        g
+        let g = self.scratch.take_copy(grad_logits);
+        self.reverse_sweep(g, None, true)
     }
 
     /// Backward pass that adds `feature_grad` to the gradient flowing through
@@ -192,35 +188,104 @@ impl Sequential {
         grad_logits: &Tensor,
         feature_grad: &Tensor,
     ) -> Tensor {
+        let fi = self.marked_feature_layer();
+        let g = self.scratch.take_copy(grad_logits);
+        self.reverse_sweep(g, Some((fi, feature_grad)), true)
+    }
+
+    /// [`Sequential::backward_with_feature_grad`] for training: accumulates
+    /// the same parameter gradients, bit for bit, and computes no input
+    /// gradient.
+    ///
+    /// # Panics
+    /// Panics if no feature layer was marked or shapes mismatch.
+    pub fn backward_params_with_feature_grad(
+        &mut self,
+        grad_logits: &Tensor,
+        feature_grad: &Tensor,
+    ) {
+        let fi = self.marked_feature_layer();
+        let g = self.scratch.take_copy(grad_logits);
+        self.backward_params_from(g, Some((fi, feature_grad)));
+    }
+
+    fn marked_feature_layer(&self) -> usize {
         #[expect(
             clippy::expect_used,
             reason = "documented precondition: a feature layer is marked"
         )]
-        let fi = self
-            .feature_layer
-            .expect("backward_with_feature_grad: no feature layer marked");
+        self.feature_layer.expect("no feature layer marked")
+    }
+
+    /// The one reverse loop. Back-propagates `g`, the logits gradient,
+    /// adding the feature gradient at its tap. With `want_input` every layer
+    /// runs [`Layer::backward`] and the input gradient comes back. Without
+    /// it the loop stops above the first trainable layer and gives back the
+    /// gradient at that layer's output (for a net without parameters, `g`
+    /// itself): see [`Sequential::backward_params_from`].
+    fn reverse_sweep(
+        &mut self,
+        mut g: Tensor,
+        feature_grad: Option<(usize, &Tensor)>,
+        want_input: bool,
+    ) -> Tensor {
         let Sequential {
-            layers, scratch, ..
+            layers,
+            scratch,
+            first_trainable,
+            ..
         } = self;
-        let mut g = scratch.take_copy(grad_logits);
-        for (i, l) in layers.iter_mut().enumerate().rev() {
-            if i == fi {
-                #[expect(clippy::expect_used, reason = "shapes agree with the matching forward")]
-                g.add_assign(feature_grad)
-                    .expect("feature gradient shape mismatch");
+        let stop = if want_input {
+            0
+        } else {
+            first_trainable.unwrap_or(layers.len())
+        };
+        for (i, l) in layers.iter_mut().enumerate().skip(stop).rev() {
+            if let Some((fi, fg)) = feature_grad {
+                if i == fi {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "shapes agree with the matching forward"
+                    )]
+                    g.add_assign(fg).expect("feature gradient shape mismatch");
+                }
+            }
+            if i == stop && !want_input {
+                break;
             }
             g = l.backward(g, scratch);
         }
         g
     }
 
-    /// Mean cross-entropy loss + full backward pass for a labelled batch.
+    /// Params-only backward: the loop stops at the first trainable layer,
+    /// which runs [`Layer::backward_params`]; the layers below it get no
+    /// backward call, and a net without parameters runs none at all. The
+    /// parameter gradients are the bits the full backward accumulates, since
+    /// no layer's parameter gradient reads anything from the layers below.
+    fn backward_params_from(&mut self, g: Tensor, feature_grad: Option<(usize, &Tensor)>) {
+        let g = self.reverse_sweep(g, feature_grad, false);
+        let Sequential {
+            layers,
+            scratch,
+            first_trainable,
+            ..
+        } = self;
+        match first_trainable.and_then(|ft| layers.get_mut(ft)) {
+            Some(l) => l.backward_params(g, scratch),
+            None => scratch.give_tensor(g),
+        }
+    }
+
+    /// Mean cross-entropy loss + backward pass for a labelled batch.
     /// Returns the loss. Gradients are *accumulated*; call
     /// [`Sequential::zero_grads`] between steps.
     ///
-    /// Every intermediate tensor — input copy, activations, logits, logits
-    /// gradient, input gradient — is recycled through the network's scratch
-    /// arena, so steady-state calls are allocation-free.
+    /// The backward pass stops at the first trainable layer (see
+    /// [`Layer::backward_params`]): the network's input gradient is never
+    /// read, so it is never computed. Every intermediate tensor — input
+    /// copy, activations, logits, logits gradient — is recycled through the
+    /// network's scratch arena, so steady-state calls are allocation-free.
     pub fn train_step(&mut self, x: &Tensor, targets: &[usize]) -> f64 {
         let Sequential {
             layers,
@@ -234,11 +299,7 @@ impl Sequential {
         }
         let (loss_val, grad) = loss.forward_backward_scratch(&a, targets, scratch);
         scratch.give_tensor(a);
-        let mut g = grad;
-        for l in layers.iter_mut().rev() {
-            g = l.backward(g, scratch);
-        }
-        scratch.give_tensor(g);
+        self.backward_params_from(grad, None);
         loss_val
     }
 
